@@ -14,7 +14,20 @@ import (
 // and sampling together (step), with no intermediate address or
 // distance buffers. Load shedding (stride > 1) is handled inside the
 // same fused loop, so the degraded regime batches exactly like the
-// healthy one. The batch path allocates nothing in the steady state.
+// healthy one.
+//
+// Allocation: the dispatch loop and the analyzer half of step (access,
+// Fenwick update, compaction, eviction) allocate nothing in the steady
+// state — TestAccessBatchHotPathZeroAllocs and
+// reuse.TestApproxAccessEvictZeroAllocs pin that. The sampling and
+// boundary half does allocate, per sample or per boundary rather than
+// per event: recordSample grows the per-datum sample windows, each
+// sample decision's core.FilterSubTrace and wavelet transform build
+// their own slices, and each boundary recompiles the phase grammar
+// into the next-phase automaton (hierarchy.predictNext), which on the
+// fft trace of BenchmarkAccessColumns is ~3/4 of all allocations.
+// TestAccessBatchAmortizedAllocs bounds that cost per event on a real
+// trace.
 func (d *Detector) AccessBatch(events []trace.Event) {
 	i := 0
 	for i < len(events) {
@@ -41,7 +54,8 @@ func (d *Detector) AccessBatch(events []trace.Event) {
 // dense block columns, and each maximal run of accesses streams the
 // address column through the same fused step loop AccessBatch uses.
 // The golden suites pin AccessColumns bit-identical to the per-event
-// and row-batch paths.
+// and row-batch paths. The column walk adds no allocation of its own;
+// what the step loop allocates is as described on AccessBatch.
 func (d *Detector) AccessColumns(c *trace.Columns) {
 	ai, bi := 0, 0
 	i := 0

@@ -15,6 +15,12 @@ import (
 // belongs to exactly one bucket); the only approximation is an
 // element's position *within* its bucket, so the reported distance is
 // within a factor of (1±ε) of the true one for distances ≳ 1/ε.
+//
+// An Access costs O(log B) for B buckets: a binary search for the
+// previous access's bucket, and Fenwick-tree prefix sums for the count
+// of newer elements. On top of that comes the O(B) compaction, which
+// runs only when the bucket count passes four times its target and
+// leaves far fewer, so it is amortized over the accesses in between.
 type ApproxAnalyzer struct {
 	eps  float64
 	last map[trace.Addr]int64
@@ -22,8 +28,19 @@ type ApproxAnalyzer struct {
 	// buckets are in ascending time order: bucket i covers times
 	// (buckets[i-1].maxTime, buckets[i].maxTime].
 	buckets []approxBucket
-	now     int64
-	live    int64 // total live elements across buckets
+	// tree is a 1-based Fenwick tree over the bucket counts: tree[i]
+	// covers buckets (i-lowbit(i), i] in 1-based numbering, and tree[0]
+	// is unused. It is rebuilt whenever buckets is rewritten wholesale.
+	tree []int64
+	now  int64
+	live int64 // total live elements across buckets
+
+	// tgt caches targetBuckets() as of the last rebuild or recheck.
+	// live never drops between evictions and targetBuckets is monotone
+	// in live, so tgt is a lower bound on the exact target: a bucket
+	// count within 4*tgt cannot trigger compaction, and only a count
+	// beyond it pays for the exact recomputation.
+	tgt int
 
 	// newerScratch is compact's reusable prefix-sum buffer, so steady-
 	// state compaction allocates nothing.
@@ -42,7 +59,9 @@ func NewApproxAnalyzer(eps float64) *ApproxAnalyzer {
 	if eps <= 0 || eps >= 1 {
 		eps = 0.05
 	}
-	return &ApproxAnalyzer{eps: eps, last: make(map[trace.Addr]int64)}
+	a := &ApproxAnalyzer{eps: eps, last: make(map[trace.Addr]int64)}
+	a.rebuild()
+	return a
 }
 
 // Access records a reference to addr and returns its approximate reuse
@@ -59,18 +78,26 @@ func (a *ApproxAnalyzer) Access(addr trace.Addr) int64 {
 		// Elements in strictly newer buckets are certainly between
 		// prev and t; within prev's own bucket, assume the element
 		// sits in the middle.
-		var after int64
-		for i := idx + 1; i < len(a.buckets); i++ {
-			after += a.buckets[i].count
-		}
+		after := a.live - a.prefix(idx+1)
 		dist = after + (a.buckets[idx].count-1)/2
 		a.buckets[idx].count--
+		for i := idx + 1; i < len(a.tree); i += i & -i {
+			a.tree[i]--
+		}
 		a.live--
 	}
 	a.buckets = append(a.buckets, approxBucket{maxTime: t, count: 1})
+	// The new slot i covers buckets (i-lowbit(i), i]: this one plus the
+	// older ones in that range.
+	i := len(a.buckets)
+	lowbit := i & -i
+	a.tree = append(a.tree, 1+a.prefix(i-1)-a.prefix(i-lowbit))
 	a.live++
-	if len(a.buckets) > 4*a.targetBuckets() {
-		a.compact()
+	if len(a.buckets) > 4*a.tgt {
+		a.tgt = a.targetBuckets()
+		if len(a.buckets) > 4*a.tgt {
+			a.compact()
+		}
 	}
 	return dist
 }
@@ -128,8 +155,9 @@ func (a *ApproxAnalyzer) EvictOldest(maxLive int) int {
 		dropped += a.buckets[i].count
 		cutoff = a.buckets[i].maxTime
 	}
-	a.buckets = a.buckets[i:]
+	a.buckets = a.buckets[:copy(a.buckets, a.buckets[i:])]
 	a.live -= dropped
+	a.rebuild()
 	// Every address's single live slot is its last-access time, so the
 	// evicted addresses are exactly those at or before the cutoff.
 	for addr, t := range a.last {
@@ -149,6 +177,38 @@ func (a *ApproxAnalyzer) find(x int64) int {
 	return sort.Search(len(a.buckets), func(i int) bool {
 		return a.buckets[i].maxTime >= x
 	})
+}
+
+// prefix returns the live elements in the n oldest buckets.
+func (a *ApproxAnalyzer) prefix(n int) int64 {
+	var s int64
+	for ; n > 0; n &= n - 1 {
+		s += a.tree[n]
+	}
+	return s
+}
+
+// rebuild recomputes the Fenwick tree from the bucket counts in O(B)
+// and refreshes the cached compaction target. Every path that rewrites
+// buckets wholesale or lowers live (compaction, eviction, restore) ends
+// here. The tree is sized for the largest bucket count the target
+// allows before the next compaction, so steady-state appends reuse it.
+func (a *ApproxAnalyzer) rebuild() {
+	a.tgt = a.targetBuckets()
+	n := len(a.buckets)
+	if want := 4*a.tgt + 2; cap(a.tree) < want {
+		a.tree = make([]int64, 0, max(want, n+1))
+	}
+	a.tree = a.tree[:n+1]
+	a.tree[0] = 0
+	for i, b := range a.buckets {
+		a.tree[i+1] = b.count
+	}
+	for i := 1; i <= n; i++ {
+		if j := i + i&-i; j <= n {
+			a.tree[j] += a.tree[i]
+		}
+	}
 }
 
 // targetBuckets is the size the structure compacts toward.
@@ -196,4 +256,5 @@ func (a *ApproxAnalyzer) compact() {
 		out = append(out, b)
 	}
 	a.buckets = out
+	a.rebuild()
 }

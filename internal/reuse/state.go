@@ -110,5 +110,6 @@ func NewApproxFromState(st ApproxState) (*ApproxAnalyzer, error) {
 	for i := range st.BucketTimes {
 		a.buckets[i] = approxBucket{maxTime: st.BucketTimes[i], count: st.BucketCounts[i]}
 	}
+	a.rebuild()
 	return a, nil
 }
