@@ -39,7 +39,6 @@ const (
 	walName    = "wal.log"
 	ckptName   = "snapshot.bin"
 	tmpSuffix  = ".tmp"
-	walFlush   = 0x01 // flags bit: chunk requested a detector flush
 	maxRecord  = 1 << 30
 	maxRespLen = 1 << 30
 )
@@ -120,7 +119,6 @@ type Log struct {
 // sequence number.
 type Entry struct {
 	Seq    uint64
-	Flush  bool
 	Events []trace.Event
 }
 
@@ -280,11 +278,11 @@ func parseRecord(payload []byte) (Entry, error) {
 		return e, errors.New("bad frame")
 	}
 	e.Seq = seq
-	flags := payload[n]
-	if flags&^byte(walFlush) != 0 {
+	// The flags byte is reserved: no flag is defined, so any set bit
+	// marks a record this version cannot replay.
+	if flags := payload[n]; flags != 0 {
 		return e, fmt.Errorf("unknown flags %#x", flags)
 	}
-	e.Flush = flags&walFlush != 0
 	r := trace.NewReader(bytes.NewReader(payload[n+1:]))
 	for {
 		ev, err := r.Next()
@@ -306,11 +304,7 @@ func (l *Log) Append(e Entry) error {
 		}
 	}
 	payload := binary.AppendUvarint(nil, e.Seq)
-	flags := byte(0)
-	if e.Flush {
-		flags |= walFlush
-	}
-	payload = append(payload, flags)
+	payload = append(payload, 0) // flags byte, reserved
 	payload = appendEvents(payload, e.Events)
 
 	rec := binary.AppendUvarint(nil, uint64(len(payload)))

@@ -39,7 +39,7 @@ func TestAppendLoadRoundtrip(t *testing.T) {
 	}
 	l := st.Session("run/1") // exercises path escaping
 	for seq := uint64(1); seq <= 5; seq++ {
-		if err := l.Append(Entry{Seq: seq, Flush: seq == 5, Events: testEvents(int(seq), 100)}); err != nil {
+		if err := l.Append(Entry{Seq: seq, Events: testEvents(int(seq), 100)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,8 +56,8 @@ func TestAppendLoadRoundtrip(t *testing.T) {
 		t.Fatalf("got %d entries, last %d", len(got.Entries), got.LastSeq())
 	}
 	for i, e := range got.Entries {
-		if e.Seq != uint64(i+1) || e.Flush != (e.Seq == 5) || !sameEvents(e.Events, testEvents(i+1, 100)) {
-			t.Fatalf("entry %d mismatch: seq %d flush %v", i, e.Seq, e.Flush)
+		if e.Seq != uint64(i+1) || !sameEvents(e.Events, testEvents(i+1, 100)) {
+			t.Fatalf("entry %d mismatch: seq %d", i, e.Seq)
 		}
 	}
 	ids, err := st.List()

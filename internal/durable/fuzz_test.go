@@ -21,7 +21,7 @@ func validWAL(t testing.TB) []byte {
 	if err := l.Append(Entry{Seq: 1, Events: testEvents(1, 30)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Entry{Seq: 2, Flush: true, Events: testEvents(2, 30)}); err != nil {
+	if err := l.Append(Entry{Seq: 2, Events: testEvents(2, 30)}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()

@@ -171,8 +171,3 @@ func PartitionCost(ids []int, bounds []int, alpha float64) float64 {
 	}
 	return total
 }
-
-// Penalty is the historical name of PartitionCost.
-func Penalty(ids []int, bounds []int, alpha float64) float64 {
-	return PartitionCost(ids, bounds, alpha)
-}

@@ -34,7 +34,7 @@ func TestPartitionAlphaExtremes(t *testing.T) {
 	// the minimum splits every element apart (penalty n) or any
 	// equal-cost variant; crucially the optimum penalty is n.
 	bounds := Partition(ids, Config{Alpha: 1})
-	if got := Penalty(ids, bounds, 1); got != 4 {
+	if got := PartitionCost(ids, bounds, 1); got != 4 {
 		t.Errorf("alpha=1 penalty = %g, want 4", got)
 	}
 	// Tiny α: reuses are nearly free, one phase wins.
@@ -74,7 +74,7 @@ func TestPenaltyPaperExample(t *testing.T) {
 	// Partition with boundaries at c+1=2 and b=8: segments
 	// [a c][e e f g e f][b d]: middle has r = 3.
 	alpha := 0.5
-	got := Penalty(ids, []int{2, 8}, alpha)
+	got := PartitionCost(ids, []int{2, 8}, alpha)
 	want := (alpha*0 + 1) + (alpha*3 + 1) + (alpha*0 + 1)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("penalty = %g, want %g", got, want)
@@ -93,7 +93,7 @@ func bruteBest(ids []int, alpha float64) float64 {
 				bounds = append(bounds, b+1)
 			}
 		}
-		if p := Penalty(ids, bounds, alpha); p < best {
+		if p := PartitionCost(ids, bounds, alpha); p < best {
 			best = p
 		}
 	}
@@ -110,7 +110,7 @@ func TestPartitionOptimalVsBruteForce(t *testing.T) {
 		}
 		alpha := 0.1 + rng.Float64()*0.9
 		bounds := Partition(ids, Config{Alpha: alpha})
-		got := Penalty(ids, bounds, alpha)
+		got := PartitionCost(ids, bounds, alpha)
 		want := bruteBest(ids, alpha)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("ids=%v alpha=%g: Partition penalty %g, brute force %g (bounds %v)",

@@ -16,25 +16,23 @@ import (
 
 // decodeState bundles the reusable buffers for one in-flight chunk
 // decode: the read buffer, a binary trace reader, the NDJSON scanner
-// buffer, and the decoded event slice itself. States cycle through a
-// sync.Pool, so the steady-state ingest path decodes chunk after chunk
-// without allocating per event.
+// buffer, the raw v2 body, and the decoded columns. Every wire format
+// decodes into cols, the one event representation the rest of the
+// server sees. States cycle through a sync.Pool, so the steady-state
+// ingest path decodes chunk after chunk without allocating per event.
 type decodeState struct {
-	br     *bufio.Reader
-	tr     *trace.Reader
-	buf    []byte
-	events []trace.Event
-	// body and cols serve the columnar v2 path: the whole chunk is
-	// slurped into body (the v2 decoder is a pointer walk over one
-	// contiguous buffer, not a scanner) and decoded into cols' reused
-	// column slices.
+	br  *bufio.Reader
+	tr  *trace.Reader
+	buf []byte
+	// body holds a whole v2 chunk: its decoder is a pointer walk over
+	// one contiguous buffer, not a scanner.
 	body []byte
 	cols trace.Columns
 }
 
-// maxRetainedEvents caps the event-slice capacity a pooled state keeps:
-// an occasional pathologically dense chunk must not pin its worst-case
-// buffer in the pool forever.
+// maxRetainedEvents caps the column capacity a pooled state (or a
+// worker's WAL-row scratch) keeps: an occasional pathologically dense
+// chunk must not pin its worst-case buffer forever.
 const maxRetainedEvents = 1 << 20
 
 // maxRetainedBody caps the raw-chunk buffer a pooled state keeps, for
@@ -52,9 +50,9 @@ var decodePool = sync.Pool{New: func() any {
 func getDecodeState() *decodeState { return decodePool.Get().(*decodeState) }
 
 // putDecodeState recycles st. Callers must only do so once nothing else
-// can reference st.events: after the session worker replied, or when
-// the chunk was never enqueued. Chunks lost to a dying worker are left
-// to the garbage collector instead.
+// can reference st.cols: after the session worker replied, or when the
+// chunk was never enqueued. Chunks lost to a dying worker are left to
+// the garbage collector instead.
 func putDecodeState(st *decodeState) {
 	st.trimForPool()
 	decodePool.Put(st)
@@ -62,9 +60,6 @@ func putDecodeState(st *decodeState) {
 
 // trimForPool drops buffers too large to keep pooled.
 func (st *decodeState) trimForPool() {
-	if cap(st.events) > maxRetainedEvents {
-		st.events = nil
-	}
 	if cap(st.body) > maxRetainedBody {
 		st.body = nil
 	}
@@ -74,29 +69,25 @@ func (st *decodeState) trimForPool() {
 }
 
 // decodeChunk parses a request body as the columnar chunk format v2,
-// the v1 binary trace format, or NDJSON events. v2 and v1 are each
-// recognized by their magic header or Content-Type — magic first, so a
-// client speaking the new format through middleware that rewrites
-// Content-Type still negotiates correctly, and old v1/NDJSON clients
-// decode exactly as before. A v2 chunk comes back as cols (events nil);
-// the other formats come back as events (cols nil). Both are owned by
-// st and valid until st is recycled.
-func (s *Server) decodeChunk(r *http.Request, st *decodeState) (events []trace.Event, cols *trace.Columns, err error) {
+// the v1 binary trace format, or NDJSON events, into st's columns
+// (valid until st is recycled). v2 and v1 are each recognized by their
+// magic header or Content-Type — magic first, so a client speaking the
+// new format through middleware that rewrites Content-Type still
+// negotiates correctly, and old v1/NDJSON clients decode exactly as
+// before.
+func (s *Server) decodeChunk(r *http.Request, st *decodeState) (*trace.Columns, error) {
 	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxChunkBytes)
 	st.br.Reset(body)
-	st.events = st.events[:0]
+	st.cols.Reset()
 	ct := r.Header.Get("Content-Type")
 	head, _ := st.br.Peek(len("LPPTRACE1\n"))
 	switch {
 	case trace.IsChunkV2(head) || strings.HasPrefix(ct, trace.ChunkV2ContentType):
-		cols, err = st.decodeColumns(int(s.cfg.MaxChunkBytes))
-		return nil, cols, err
+		return st.decodeColumns(int(s.cfg.MaxChunkBytes))
 	case bytes.Equal(head, []byte("LPPTRACE1\n")) || strings.HasPrefix(ct, "application/x-lpp-trace"):
-		events, err = st.decodeBinary()
-		return events, nil, err
+		return st.decodeBinary()
 	default:
-		events, err = st.decodeNDJSON()
-		return events, nil, err
+		return st.decodeNDJSON()
 	}
 }
 
@@ -131,7 +122,7 @@ func (st *decodeState) decodeColumns(maxEvents int) (*trace.Columns, error) {
 	return &st.cols, nil
 }
 
-func (st *decodeState) decodeBinary() ([]trace.Event, error) {
+func (st *decodeState) decodeBinary() (*trace.Columns, error) {
 	if st.tr == nil {
 		st.tr = trace.NewReader(nil)
 	}
@@ -141,16 +132,16 @@ func (st *decodeState) decodeBinary() ([]trace.Event, error) {
 	for {
 		ev, err := st.tr.Next()
 		if err == io.EOF {
-			return st.events, nil
+			return &st.cols, nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("binary chunk: %w", err)
 		}
-		st.events = append(st.events, ev)
+		st.cols.AppendEvent(ev)
 	}
 }
 
-func (st *decodeState) decodeNDJSON() ([]trace.Event, error) {
+func (st *decodeState) decodeNDJSON() (*trace.Columns, error) {
 	sc := bufio.NewScanner(st.br)
 	sc.Buffer(st.buf, 1<<20)
 	line := 0
@@ -180,12 +171,12 @@ func (st *decodeState) decodeNDJSON() ([]trace.Event, error) {
 				return nil, fmt.Errorf("ndjson line %d: unknown kind %q", line, we.Kind)
 			}
 		}
-		st.events = append(st.events, ev)
+		st.cols.AppendEvent(ev)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("ndjson: %w", err)
 	}
-	return st.events, nil
+	return &st.cols, nil
 }
 
 // lineParser is a minimal cursor over one NDJSON line.

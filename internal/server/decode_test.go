@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -21,14 +22,11 @@ func decodeVia(t *testing.T, s *Server, contentType string, body []byte) ([]trac
 	}
 	st := getDecodeState()
 	defer putDecodeState(st)
-	events, cols, err := s.decodeChunk(req, st)
+	cols, err := s.decodeChunk(req, st)
 	if err != nil {
 		return nil, err
 	}
-	if cols != nil {
-		return cols.AppendEvents(nil), nil
-	}
-	return append([]trace.Event(nil), events...), nil
+	return cols.AppendEvents(nil), nil
 }
 
 // TestNDJSONFastPathMatchesEncodingJSON cross-checks the hand-rolled
@@ -127,14 +125,11 @@ func TestDecodeReuseIsClean(t *testing.T) {
 	defer putDecodeState(st)
 	decode := func(body []byte) []trace.Event {
 		req := httptest.NewRequest("POST", "/x", bytes.NewReader(body))
-		events, cols, err := s.decodeChunk(req, st)
+		cols, err := s.decodeChunk(req, st)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if cols != nil {
-			return cols.AppendEvents(nil)
-		}
-		return events
+		return cols.AppendEvents(nil)
 	}
 	if got := decode(bigBin); len(got) != len(big) || got[len(got)-1] != big[len(big)-1] {
 		t.Fatalf("big chunk decoded to %d events", len(got))
@@ -182,7 +177,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 			run := func() {
 				reader.Reset(c.body)
 				req.Body = io.NopCloser(reader)
-				if _, _, err := s.decodeChunk(req, st); err != nil {
+				if _, err := s.decodeChunk(req, st); err != nil {
 					t.Fatalf("decode: %v", err)
 				}
 			}
@@ -201,14 +196,16 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 // putting a synthetic state into the shared pool would poison it for
 // whichever test draws it next.
 func TestDecodePoolBoundsRetention(t *testing.T) {
-	st := &decodeState{events: make([]trace.Event, maxRetainedEvents+1)}
+	st := &decodeState{}
+	st.cols.Addrs = make([]trace.Addr, maxRetainedEvents+1)
 	st.trimForPool()
-	if st.events != nil {
+	if st.cols.Addrs != nil {
 		t.Error("oversized event buffer retained for the pool")
 	}
-	small := &decodeState{events: make([]trace.Event, 128)}
+	small := &decodeState{}
+	small.cols.Addrs = make([]trace.Addr, 128)
 	small.trimForPool()
-	if cap(small.events) != 128 {
+	if cap(small.cols.Addrs) != 128 {
 		t.Error("right-sized buffer dropped")
 	}
 	wide := &decodeState{body: make([]byte, maxRetainedBody+1)}
@@ -285,41 +282,103 @@ func TestDecodeChunkV2Negotiation(t *testing.T) {
 	})
 }
 
-// TestIngestChunkV2EndToEnd runs the same event stream through the HTTP
-// ingest path in all three wire formats against separate sessions and
-// requires identical responses and identical session stats — the
-// server-level proof that format choice cannot change detection.
+// TestIngestChunkV2EndToEnd runs the same event stream, in three
+// chunks, through the HTTP ingest path in all three wire formats
+// against separate sessions and requires identical responses and
+// identical session stats — the server-level proof that format choice
+// cannot change detection. The durable server is then killed and
+// restarted over the same DataDir: each session's WAL replay must
+// regenerate the very response bytes its last chunk first produced
+// (served back on a retransmit), and the closing flush must agree
+// across formats too.
 func TestIngestChunkV2EndToEnd(t *testing.T) {
-	s := mustServer(t, Config{})
-	defer s.Close()
-	h := s.Handler()
-	events := syntheticEvents(5, 6, 2)
-	bodies := map[string]struct {
-		body []byte
+	events := syntheticEvents(5, 6, 6)
+	bounds := chunkBounds(len(events), 3)
+	type body struct {
+		data []byte
 		ct   string
-	}{
-		"v1": {encodeBinary(t, events), "application/x-lpp-trace"},
-		"v2": {encodeChunkV2(t, events), trace.ChunkV2ContentType},
 	}
-	stats := map[string]string{}
-	responses := map[string]string{}
-	for name, c := range bodies {
-		rr := post(t, h, "/v1/sessions/fmt-"+name+"/events", c.ct, c.body)
-		if rr.Code != http.StatusOK {
-			t.Fatalf("%s ingest: status %d: %s", name, rr.Code, rr.Body.String())
+	bodies := map[string][]body{}
+	for _, b := range bounds {
+		part := events[b[0]:b[1]]
+		bodies["v1"] = append(bodies["v1"], body{encodeBinary(t, part), "application/x-lpp-trace"})
+		bodies["v2"] = append(bodies["v2"], body{encodeChunkV2(t, part), trace.ChunkV2ContentType})
+		bodies["ndjson"] = append(bodies["ndjson"], body{encodeNDJSON(part), ""})
+	}
+	last := len(bounds)
+	postChunk := func(t *testing.T, s *Server, name string, seq int) *httptest.ResponseRecorder {
+		t.Helper()
+		c := bodies[name][seq-1]
+		return post(t, s.Handler(), fmt.Sprintf("/v1/sessions/fmt-%s/events?seq=%d", name, seq), c.ct, c.data)
+	}
+	// same fails the test unless every format produced the same bytes.
+	same := func(t *testing.T, what string, got map[string]string) {
+		t.Helper()
+		if got["v1"] == "" {
+			t.Fatalf("%s: empty; the stream must produce phase events", what)
 		}
-		responses[name] = rr.Body.String()
-		st := do(t, h, "GET", "/v1/sessions/fmt-"+name+"/stats")
-		if st.Code != http.StatusOK {
-			t.Fatalf("%s stats: status %d", name, st.Code)
+		for name := range bodies {
+			if got[name] != got["v1"] {
+				t.Errorf("%s differ between formats:\n v1 %s\n %s %s", what, got["v1"], name, got[name])
+			}
 		}
-		stats[name] = st.Body.String()
 	}
-	if responses["v1"] != responses["v2"] {
-		t.Errorf("phase-event responses differ between formats:\n v1 %s\n v2 %s", responses["v1"], responses["v2"])
-	}
-	if stats["v1"] != stats["v2"] {
-		t.Errorf("session stats differ between formats:\n v1 %s\n v2 %s", stats["v1"], stats["v2"])
+	for _, mode := range []string{"ephemeral", "durable"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := Config{}
+			if mode == "durable" {
+				cfg.DataDir = t.TempDir()
+			}
+			s := mustServer(t, cfg)
+			defer func() { s.Close() }()
+			stats := map[string]string{}
+			responses := map[string]string{}
+			lastResp := map[string]string{}
+			for name := range bodies {
+				for seq := 1; seq <= last; seq++ {
+					rr := postChunk(t, s, name, seq)
+					if rr.Code != http.StatusOK {
+						t.Fatalf("%s ingest of chunk %d: status %d: %s", name, seq, rr.Code, rr.Body.String())
+					}
+					responses[name] += rr.Body.String()
+					lastResp[name] = rr.Body.String()
+				}
+				st := do(t, s.Handler(), "GET", "/v1/sessions/fmt-"+name+"/stats")
+				if st.Code != http.StatusOK {
+					t.Fatalf("%s stats: status %d", name, st.Code)
+				}
+				stats[name] = st.Body.String()
+			}
+			same(t, "phase-event responses", responses)
+			same(t, "session stats", stats)
+			if mode != "durable" {
+				return
+			}
+			s.Kill()
+			s = mustServer(t, cfg)
+			replayed := map[string]string{}
+			finals := map[string]string{}
+			for name := range bodies {
+				rr := postChunk(t, s, name, last)
+				if rr.Code != http.StatusOK || rr.Header().Get("X-Lpp-Replayed") != "true" {
+					t.Fatalf("%s retransmit after restart: status %d replayed=%q", name, rr.Code, rr.Header().Get("X-Lpp-Replayed"))
+				}
+				replayed[name] = rr.Body.String()
+				if replayed[name] != lastResp[name] {
+					t.Errorf("%s: WAL replay response differs from the original:\n got  %s\n want %s", name, replayed[name], lastResp[name])
+				}
+				if st := do(t, s.Handler(), "GET", "/v1/sessions/fmt-"+name+"/stats"); st.Body.String() != stats[name] {
+					t.Errorf("%s: stats after restart %s, want %s", name, st.Body.String(), stats[name])
+				}
+				del := do(t, s.Handler(), "DELETE", "/v1/sessions/fmt-"+name)
+				if del.Code != http.StatusOK {
+					t.Fatalf("%s delete: status %d: %s", name, del.Code, del.Body.String())
+				}
+				finals[name] = del.Body.String()
+			}
+			same(t, "replayed responses", replayed)
+			same(t, "closing flushes", finals)
+		})
 	}
 }
 

@@ -49,12 +49,8 @@ type chunk struct {
 	op op
 	// seq is the client's sequence number for an opEvents chunk;
 	// 0 means "assign the next one" (no idempotency requested).
-	seq    uint64
-	events []trace.Event
-	// cols carries a columnar v2 chunk in place of events, fed through
-	// Detector.AccessColumns without ever materializing rows. Only
-	// ephemeral sessions take this path: the WAL's entry format is
-	// row-shaped, so durable sessions materialize before dispatch.
+	seq uint64
+	// cols is an opEvents chunk's payload, whatever its wire format.
 	cols  *trace.Columns
 	reply chan result
 }
@@ -120,6 +116,9 @@ type worker struct {
 	// log is the session's durable state; nil when the server is
 	// ephemeral.
 	log *durable.Log
+	// walRows is the scratch the row-shaped WAL entry is built in;
+	// its capacity is bounded like the decode pool's.
+	walRows []trace.Event
 	// lastSeq is the highest accepted sequence number; cached is the
 	// response body it produced, replayed verbatim on a duplicate POST.
 	lastSeq   uint64
@@ -230,10 +229,20 @@ func (w *worker) events(c chunk) result {
 			wantSeq: w.lastSeq + 1,
 		}
 	}
+	// Queue occupancy is the pressure signal: a backed-up consumer
+	// degrades detection fidelity instead of memory. It is sampled as
+	// the chunk is taken, so the WAL append below is not counted as
+	// backlog.
+	pressure := float64(len(w.sess.queue)) / float64(cap(w.sess.queue))
 	// Log before processing: a worker killed between here and the reply
 	// replays this chunk on recovery instead of losing it.
 	if w.log != nil {
-		if err := w.log.Append(durable.Entry{Seq: seq, Events: c.events}); err != nil {
+		w.walRows = c.cols.AppendEvents(w.walRows[:0])
+		err := w.log.Append(durable.Entry{Seq: seq, Events: w.walRows})
+		if cap(w.walRows) > maxRetainedEvents {
+			w.walRows = nil
+		}
+		if err != nil {
 			w.s.m.walErrors.Add(1)
 			return result{status: http.StatusInternalServerError, body: errBody("wal append failed"), seq: seq}
 		}
@@ -242,14 +251,8 @@ func (w *worker) events(c chunk) result {
 		if hook := w.s.testChunkHook; hook != nil {
 			hook()
 		}
-		// Queue occupancy is the pressure signal: a backed-up consumer
-		// degrades detection fidelity instead of memory.
-		w.det.SetPressure(float64(len(w.sess.queue)) / float64(cap(w.sess.queue)))
-		if c.cols != nil {
-			w.det.AccessColumns(c.cols)
-		} else {
-			w.det.AccessBatch(c.events)
-		}
+		w.det.SetPressure(pressure)
+		w.det.AccessColumns(c.cols)
 	}) {
 		return w.quarantineResult(seq)
 	}
@@ -373,22 +376,14 @@ func (w *worker) export() result {
 		// to another node would just move the poison.
 		return result{status: http.StatusConflict, body: errBody("session quarantined; not migratable"), seq: w.lastSeq}
 	}
-	var snap []byte
-	if !w.safe(func() {
-		snap = w.det.Snapshot()
-		if w.chain != nil {
-			snap = frameSnapshot(snap, w.chain.Snapshot())
-		}
-	}) {
+	snap, ok := w.persist()
+	if w.quarantined {
 		return w.quarantineResult(w.lastSeq)
 	}
+	if !ok {
+		return result{status: http.StatusInternalServerError, body: errBody("checkpoint failed"), seq: w.lastSeq}
+	}
 	if w.log != nil {
-		if err := w.log.Checkpoint(w.lastSeq, snap, w.cached); err != nil {
-			w.s.m.walErrors.Add(1)
-			return result{status: http.StatusInternalServerError, body: errBody("checkpoint failed"), seq: w.lastSeq}
-		}
-		w.sinceCkpt = 0
-		w.s.m.checkpoints.Add(1)
 		w.log.Close()
 	}
 	w.contributeKnowledge()

@@ -71,9 +71,6 @@ func (w *worker) restore() {
 			w.pending = nil
 			w.det.SetPressure(0)
 			w.det.AccessBatch(e.Events)
-			if e.Flush {
-				w.det.Flush()
-			}
 			w.lastSeq = e.Seq
 			w.cached = encodeEvents(w.pending)
 		}
@@ -86,22 +83,37 @@ func (w *worker) restore() {
 	}
 }
 
-func (w *worker) checkpoint() {
-	var snap []byte
+// persist snapshots the detector (and chain) at lastSeq and, with
+// durability, writes the image as the session's checkpoint. It reports
+// false if the snapshot panicked (the worker is then quarantined) or
+// the checkpoint write failed.
+func (w *worker) persist() (snap []byte, ok bool) {
 	if !w.safe(func() {
 		snap = w.det.Snapshot()
 		if w.chain != nil {
 			snap = frameSnapshot(snap, w.chain.Snapshot())
 		}
 	}) {
+		return nil, false
+	}
+	if w.log != nil {
+		if err := w.log.Checkpoint(w.lastSeq, snap, w.cached); err != nil {
+			w.s.m.walErrors.Add(1)
+			return nil, false
+		}
+		w.sinceCkpt = 0
+		w.s.m.checkpoints.Add(1)
+	}
+	return snap, true
+}
+
+// checkpoint persists the session and streams the image to the
+// replica peer.
+func (w *worker) checkpoint() {
+	snap, ok := w.persist()
+	if !ok {
 		return
 	}
-	if err := w.log.Checkpoint(w.lastSeq, snap, w.cached); err != nil {
-		w.s.m.walErrors.Add(1)
-		return
-	}
-	w.sinceCkpt = 0
-	w.s.m.checkpoints.Add(1)
 	// Replicate only what disk accepted: the peer must never hold an
 	// image the primary could not persist. snap and w.cached are fresh
 	// allocations owned by this checkpoint, safe to hand off.

@@ -98,10 +98,11 @@ func FuzzInterleavedReader(f *testing.F) {
 		}
 		st := &decodeState{br: bufio.NewReaderSize(nil, 1<<16), buf: make([]byte, 64<<10)}
 		st.br.Reset(bytes.NewReader(bin.Bytes()))
-		gotBin, err := st.decodeBinary()
+		binCols, err := st.decodeBinary()
 		if err != nil {
 			t.Fatalf("decode binary: %v", err)
 		}
+		gotBin := binCols.AppendEvents(nil)
 		if len(gotBin) != len(events) {
 			t.Fatalf("binary: %d events, want %d", len(gotBin), len(events))
 		}
@@ -115,10 +116,11 @@ func FuzzInterleavedReader(f *testing.F) {
 		// allocation-free fast path and still agree exactly.
 		st2 := &decodeState{br: bufio.NewReaderSize(nil, 1<<16), buf: make([]byte, 64<<10)}
 		st2.br.Reset(bytes.NewReader(encodeNDJSON(events)))
-		gotND, err := st2.decodeNDJSON()
+		ndCols, err := st2.decodeNDJSON()
 		if err != nil {
 			t.Fatalf("decode ndjson: %v", err)
 		}
+		gotND := ndCols.AppendEvents(nil)
 		if len(gotND) != len(gotBin) {
 			t.Fatalf("ndjson: %d events, binary %d", len(gotND), len(gotBin))
 		}

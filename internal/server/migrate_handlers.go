@@ -21,11 +21,9 @@ package server
 
 import (
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 
-	"lpp/internal/durable"
 	"lpp/internal/replica"
 )
 
@@ -38,69 +36,30 @@ func (s *Server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Only sessions that exist somewhere are exportable: a live worker
-	// or suspended durable state. getSession(create) would mint a fresh
-	// session for any id, so check existence first.
-	if _, err := s.getSession(id, false); err != nil {
-		if s.store == nil || !s.store.Exists(id) {
-			writeErr(w, http.StatusNotFound, errNoSession.Error())
-			return
-		}
-	}
-	// Revive (or find) the session, then claim the migration. Claiming
-	// after the revival keeps the claim unambiguous: of two concurrent
-	// exports, exactly one wins markMigrating and the loser backs off
-	// without touching the winner's claim.
-	sess, err := s.getSession(id, true)
+	// or suspended durable state. The claim comes after the revival so
+	// it is unambiguous: of two concurrent exports, exactly one wins
+	// markMigrating and the loser backs off without touching the
+	// winner's claim.
+	sess, err := s.detach(id, func() error { return s.markMigrating(id) })
 	if err != nil {
-		var remote *remoteError
 		switch {
-		case errors.As(err, &remote):
-			w.Header().Set("X-Lpp-Owner", remote.owner)
-			writeErr(w, http.StatusMisdirectedRequest, err.Error())
+		case errors.Is(err, errContended):
+			// The reaper (or a concurrent teardown) got the session
+			// between the revival and the claim; the caller retries.
+			s.unmarkMigrating(id)
+			writeErr(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, errMigrating):
 			writeErr(w, http.StatusConflict, err.Error())
 		default:
-			writeErr(w, http.StatusServiceUnavailable, err.Error())
+			writeSessionErr(w, err)
 		}
 		return
 	}
-	<-sess.ready
-	if err := s.markMigrating(id); err != nil {
-		var remote *remoteError
-		if errors.As(err, &remote) {
-			w.Header().Set("X-Lpp-Owner", remote.owner)
-			writeErr(w, http.StatusMisdirectedRequest, err.Error())
-			return
-		}
-		writeErr(w, http.StatusConflict, err.Error())
-		return
-	}
-	if !s.unlinkSession(sess) {
-		// The reaper (or a concurrent teardown) got the session between
-		// the revival and the claim; back off and let the caller retry.
-		s.unmarkMigrating(id)
-		writeErr(w, http.StatusServiceUnavailable, "session contended; retry")
-		return
-	}
-	c := chunk{op: opExport, reply: make(chan result, 1)}
-	select {
-	case sess.queue <- c:
-	case <-sess.done:
+	res, err := sess.roundTrip(chunk{op: opExport})
+	if err != nil {
 		s.unmarkMigrating(id)
 		writeErr(w, http.StatusServiceUnavailable, errSessionDown.Error())
 		return
-	}
-	var res result
-	select {
-	case res = <-c.reply:
-	case <-sess.done:
-		select {
-		case res = <-c.reply:
-		default:
-			s.unmarkMigrating(id)
-			writeErr(w, http.StatusServiceUnavailable, errSessionDown.Error())
-			return
-		}
 	}
 	if res.status != http.StatusOK {
 		// The worker refused (quarantined, checkpoint failure) and has
@@ -131,18 +90,8 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "session is live on this node")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody+1))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(body) > maxReplicaBody {
-		writeErr(w, http.StatusRequestEntityTooLarge, "checkpoint image too large")
-		return
-	}
-	seq, snap, resp, err := durable.DecodeCheckpoint(body)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	seq, snap, resp, ok := readImage(w, r)
+	if !ok {
 		return
 	}
 	if err := s.store.Session(id).Checkpoint(seq, snap, resp); err != nil {

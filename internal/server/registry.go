@@ -4,8 +4,7 @@ package server
 // touch it. The session table is striped into shards; placement state
 // that outlives a live worker (migrating, remote) lives in the
 // placement maps guarded by placeMu. The transport layer asks the
-// registry for a session and never touches workers directly; the
-// cluster router asks the Ownership interface where a session lives.
+// registry for a session and never touches workers directly.
 
 import (
 	"fmt"
@@ -98,17 +97,9 @@ const (
 	StateUnknown SessionState = "unknown"
 )
 
-// Ownership answers "where does this session live?" — the interface
-// the transport layer and the cluster router consult instead of
-// assuming local ownership.
-type Ownership interface {
-	// SessionState reports id's lifecycle state and, for remote
-	// sessions, the owning node's advertised base URL. Local and
-	// suspended sessions report this node's Advertise URL.
-	SessionState(id string) (SessionState, string)
-}
-
-// SessionState implements Ownership.
+// SessionState reports id's lifecycle state and, for remote sessions,
+// the owning node's advertised base URL. Local and suspended sessions
+// report this node's Advertise URL.
 func (s *Server) SessionState(id string) (SessionState, string) {
 	s.placeMu.Lock()
 	if owner, ok := s.remote[id]; ok {
@@ -252,21 +243,9 @@ func (s *Server) getSession(id string, create bool) (*session, error) {
 	return sess, nil
 }
 
-// dropSession removes a dead session from its shard, if it is still the
-// registered one.
-func (s *Server) dropSession(sess *session) {
-	sh := s.shardFor(sess.id)
-	sh.mu.Lock()
-	if sh.sessions[sess.id] == sess {
-		delete(sh.sessions, sess.id)
-		s.m.sessionsActive.Add(-1)
-	}
-	sh.mu.Unlock()
-}
-
 // unlinkSession removes sess from the table if it is still the
-// registered session for its id, claiming teardown ownership. Used by
-// the suspend and migration paths; returns false if another goroutine
+// registered session for its id, claiming teardown ownership (or
+// clearing out a dead worker). It returns false if another goroutine
 // got there first.
 func (s *Server) unlinkSession(sess *session) bool {
 	sh := s.shardFor(sess.id)
@@ -281,11 +260,40 @@ func (s *Server) unlinkSession(sess *session) bool {
 	return true
 }
 
+// detach takes teardown ownership of session id: it finds the session
+// (reviving it from durable state when it is not in memory), runs claim
+// if one is given, and unlinks it from the table. It fails with
+// errNoSession when the id exists nowhere, and with errContended when
+// another goroutine unlinked the session first; claim is not undone.
+func (s *Server) detach(id string, claim func() error) (*session, error) {
+	sess, err := s.getSession(id, false)
+	if err != nil {
+		if s.store == nil || !s.store.Exists(id) {
+			return nil, errNoSession
+		}
+		if sess, err = s.getSession(id, true); err != nil {
+			return nil, err
+		}
+	}
+	if claim != nil {
+		<-sess.ready
+		if err := claim(); err != nil {
+			return nil, err
+		}
+	}
+	if !s.unlinkSession(sess) {
+		return nil, errContended
+	}
+	return sess, nil
+}
+
 // dispatch enqueues c on session id's worker and waits for its reply.
-// A session whose worker died (crash simulation, suspend race) is
-// dropped and — on the enqueue path — re-created once, which recovers
-// it from durable state.
+// A full queue is refused rather than waited on. A session whose
+// worker died (crash simulation, suspend race) is dropped and — on the
+// enqueue path — re-created once, which recovers it from durable
+// state.
 func (s *Server) dispatch(id string, c chunk) (result, error) {
+	c.reply = make(chan result, 1)
 	for attempt := 0; ; attempt++ {
 		sess, err := s.getSession(id, true)
 		if err != nil {
@@ -295,7 +303,7 @@ func (s *Server) dispatch(id string, c chunk) (result, error) {
 		select {
 		case sess.queue <- c:
 		case <-sess.done:
-			s.dropSession(sess)
+			s.unlinkSession(sess)
 			if attempt == 0 {
 				continue
 			}
@@ -303,18 +311,40 @@ func (s *Server) dispatch(id string, c chunk) (result, error) {
 		default:
 			return result{}, errQueueFull
 		}
+		res, err := sess.await(c)
+		if err != nil {
+			s.unlinkSession(sess)
+		}
+		return res, err
+	}
+}
+
+// roundTrip hands c to sess's worker, waiting for queue room, and
+// returns the reply. It fails with errNotEnqueued when the worker
+// exited before taking c, and with errSessionDown when it took c but
+// exited without replying.
+func (sess *session) roundTrip(c chunk) (result, error) {
+	c.reply = make(chan result, 1)
+	select {
+	case sess.queue <- c:
+	case <-sess.done:
+		return result{}, errNotEnqueued
+	}
+	return sess.await(c)
+}
+
+// await waits for the reply to c, which sess's worker has taken.
+func (sess *session) await(c chunk) (result, error) {
+	select {
+	case res := <-c.reply:
+		return res, nil
+	case <-sess.done:
+		// The worker may have replied and exited in the same breath;
+		// the reply, if any, is already buffered.
 		select {
 		case res := <-c.reply:
 			return res, nil
-		case <-sess.done:
-			// The worker may have replied and exited in the same
-			// breath; the reply, if any, is already buffered.
-			select {
-			case res := <-c.reply:
-				return res, nil
-			default:
-			}
-			s.dropSession(sess)
+		default:
 			return result{}, errSessionDown
 		}
 	}
@@ -358,15 +388,7 @@ func (s *Server) suspendSession(sess *session) bool {
 	if !s.unlinkSession(sess) {
 		return false
 	}
-	c := chunk{op: opSuspend, reply: make(chan result, 1)}
-	select {
-	case sess.queue <- c:
-		select {
-		case <-c.reply:
-		case <-sess.done:
-		}
-	case <-sess.done:
-	}
+	sess.roundTrip(chunk{op: opSuspend})
 	return true
 }
 

@@ -1,7 +1,7 @@
 package server
 
-// Registry-layer unit tests: lifecycle states, the Ownership
-// interface, placement guards, and the session listing inventory.
+// Registry-layer unit tests: lifecycle states, placement guards, and
+// the session listing inventory.
 
 import (
 	"errors"
@@ -12,7 +12,6 @@ import (
 func TestSessionStateLifecycle(t *testing.T) {
 	s := mustServer(t, Config{DataDir: t.TempDir(), Advertise: "http://node-a"})
 	defer s.Close()
-	var _ Ownership = s // the registry exposes the ownership interface
 
 	if st, _ := s.SessionState("ghost"); st != StateUnknown {
 		t.Fatalf("unknown session state = %q, want %q", st, StateUnknown)

@@ -176,18 +176,8 @@ func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody+1))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(body) > maxReplicaBody {
-		writeErr(w, http.StatusRequestEntityTooLarge, "checkpoint image too large")
-		return
-	}
-	seq, snap, resp, err := durable.DecodeCheckpoint(body)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	seq, snap, resp, ok := readImage(w, r)
+	if !ok {
 		return
 	}
 	s.replicaMu.Lock()
@@ -204,6 +194,37 @@ func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	s.replicaSeqs[id] = seq
 	s.m.replicaApplied.Add(1)
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// readBody reads a replicated or migrated payload of at most
+// maxReplicaBody bytes, answering 400 or 413 itself on failure.
+func readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody+1))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return nil, false
+	}
+	if len(body) > maxReplicaBody {
+		writeErr(w, http.StatusRequestEntityTooLarge, what+" too large")
+		return nil, false
+	}
+	return body, true
+}
+
+// readImage reads and decodes an LPPCKPT1 session image — the payload
+// of both replica and migration PUTs — answering 400 or 413 itself on
+// failure.
+func readImage(w http.ResponseWriter, r *http.Request) (seq uint64, snap, resp []byte, ok bool) {
+	body, ok := readBody(w, r, "checkpoint image")
+	if !ok {
+		return 0, nil, nil, false
+	}
+	seq, snap, resp, err := durable.DecodeCheckpoint(body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return 0, nil, nil, false
+	}
+	return seq, snap, resp, true
 }
 
 // handleReplicaDelete drops a replicated session (it closed on the
@@ -236,13 +257,8 @@ func (s *Server) handleReplicaKnowledge(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusNotFound, "no knowledge store configured")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody+1))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(body) > maxReplicaBody {
-		writeErr(w, http.StatusRequestEntityTooLarge, "knowledge snapshot too large")
+	body, ok := readBody(w, r, "knowledge snapshot")
+	if !ok {
 		return
 	}
 	if err := s.cfg.Knowledge.RestoreSnapshot(body); err != nil {

@@ -1,20 +1,23 @@
 // Package server exposes the streaming phase detector over HTTP. Each
 // session owns one online.Detector fed by a dedicated goroutine;
-// clients POST trace chunks (NDJSON events or the binary trace file
-// format) and receive the phase events those chunks produced as NDJSON.
-// Ingestion is backpressured: each session has a bounded chunk queue,
-// and a full queue answers 429 instead of growing; queue occupancy also
-// drives the detector's load-shedding stride.
+// clients POST trace chunks (NDJSON events, the binary trace file
+// format, or columnar v2 chunks) and receive the phase events those
+// chunks produced as NDJSON. Every wire format decodes into one
+// representation, trace.Columns, which the worker feeds to the
+// detector through AccessColumns. Ingestion is backpressured: each
+// session has a bounded chunk queue, and a full queue answers 429
+// instead of growing; queue occupancy also drives the detector's
+// load-shedding stride.
 //
 // With a DataDir configured, sessions are durable: every accepted
-// chunk is written to a per-session WAL before processing, the
-// detector is checkpointed periodically, and a restarted server
-// replays the WAL suffix so the recovered detector emits exactly the
-// phase boundaries an uninterrupted run would have. Clients may tag
-// chunks with monotonically increasing sequence numbers (X-Lpp-Seq);
-// a retransmit of the last accepted sequence number replays its cached
-// response instead of double-feeding the detector, and a gap answers
-// 409.
+// chunk is written to a per-session WAL (as row-form events) before
+// processing, the detector is checkpointed periodically, and a
+// restarted server replays the WAL suffix so the recovered detector
+// emits exactly the phase boundaries an uninterrupted run would have.
+// Clients may tag chunks with monotonically increasing sequence
+// numbers (X-Lpp-Seq); a retransmit of the last accepted sequence
+// number replays its cached response instead of double-feeding the
+// detector, and a gap answers 409.
 //
 // The package is layered:
 //
@@ -22,7 +25,7 @@
 //     negotiation (decode.go), sequence headers, backpressure mapping.
 //   - registry (registry.go) — the sharded session table, session
 //     lifecycle (local/suspended/migrating/remote), the idle reaper,
-//     and the Ownership interface the cluster router consults.
+//     and the one worker round-trip every request goes through.
 //   - engine (engine.go, engine_state.go) — the per-session worker
 //     loop owning the detector, the phase chain, durability, and the
 //     knowledge/replica hooks.
@@ -108,7 +111,7 @@ type Config struct {
 	Shards int
 	// Advertise is this node's base URL as other cluster members reach
 	// it (e.g. "http://10.0.0.1:8080"). It labels locally-owned
-	// sessions in GET /v1/sessions and the Ownership interface; empty
+	// sessions in GET /v1/sessions and SessionState; empty
 	// means a single-node deployment.
 	Advertise string
 	// Peer, when non-empty, is the base URL of a standby replica.
@@ -354,15 +357,7 @@ func (s *Server) Close() {
 	// create that got in first is visible to the drain.
 	s.closed.Store(true)
 	for _, sess := range s.drainSessions() {
-		c := chunk{op: opSuspend, reply: make(chan result, 1)}
-		select {
-		case sess.queue <- c:
-			select {
-			case <-c.reply:
-			case <-sess.done:
-			}
-		case <-sess.done:
-		}
+		sess.roundTrip(chunk{op: opSuspend})
 	}
 	s.m.sessionsActive.Store(0)
 	// Replication drains after the suspend pass so the final
@@ -395,6 +390,8 @@ var (
 	errServerClosed    = errors.New("server closed")
 	errQueueFull       = errors.New("session queue full")
 	errSessionDown     = errors.New("session terminated")
+	errNotEnqueued     = errors.New("session terminated before taking the request")
+	errContended       = errors.New("session contended; retry")
 	errStandby         = errors.New("standby: not accepting ingest; promote this node or use the primary")
 	errMigrating       = errors.New("session is migrating; retry")
 )

@@ -51,135 +51,90 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := getDecodeState()
-	events, cols, err := s.decodeChunk(r, st)
+	cols, err := s.decodeChunk(r, st)
 	if err != nil {
 		putDecodeState(st)
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	nEvents := len(events)
-	if cols != nil {
-		nEvents = cols.N
-		if s.store != nil {
-			// The WAL's entry format is row-shaped, so durable sessions
-			// materialize the columns once here (into the pooled slice)
-			// and take the event path; recovery replay stays identical
-			// for both wire formats.
-			st.events = cols.AppendEvents(st.events[:0])
-			events, cols = st.events, nil
-		}
-	}
+	n := cols.N
 	start := time.Now()
-	c := chunk{op: opEvents, seq: seq, events: events, cols: cols, reply: make(chan result, 1)}
-	res, err := s.dispatch(id, c)
-	var remote *remoteError
+	res, err := s.dispatch(id, chunk{op: opEvents, seq: seq, cols: cols})
+	if !errors.Is(err, errSessionDown) {
+		// Nothing references the decoded columns any more: the worker
+		// replied (the WAL encodes them before the reply), or the chunk
+		// was never enqueued. A chunk that may still sit in a dead
+		// worker's queue is left to the garbage collector instead.
+		putDecodeState(st)
+	}
 	switch {
 	case err == nil:
-		// The worker replied, so nothing references the decoded events
-		// any more (the WAL encodes them before the reply).
-		putDecodeState(st)
 		if res.status == http.StatusOK && !res.replayed {
-			s.m.observeChunk(s.shardIndex(id), time.Since(start), nEvents)
+			s.m.observeChunk(s.shardIndex(id), time.Since(start), n)
 		}
 		writeResult(w, res)
 	case errors.Is(err, errQueueFull):
 		// Backpressure: the client should retry after draining; the
 		// chunk is not partially applied (and was never enqueued).
-		putDecodeState(st)
 		s.m.rejectedChunks.Add(1)
 		// Hint how long the drain actually takes (ms precision; the
 		// standard Retry-After below is a blunt whole second).
 		w.Header().Set("X-Lpp-Retry-After-Ms", strconv.FormatInt(s.retryHintMs(), 10))
 		writeErr(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, errSessionDown):
-		// The chunk may still sit in a dead worker's queue; leave the
-		// state to the garbage collector rather than alias its events.
 		writeErr(w, http.StatusServiceUnavailable, "session terminated; retry")
 	case errors.Is(err, errMigrating):
 		// The session's image is in flight to another node; the router
 		// holds the chunk and retries until the handoff lands.
-		putDecodeState(st)
 		w.Header().Set("X-Lpp-Retry-After-Ms", strconv.FormatInt(s.retryHintMs(), 10))
 		writeErr(w, http.StatusServiceUnavailable, err.Error())
-	case errors.As(err, &remote):
-		// The session lives elsewhere now; tell the router where.
-		putDecodeState(st)
-		w.Header().Set("X-Lpp-Owner", remote.owner)
-		writeErr(w, http.StatusMisdirectedRequest, err.Error())
 	default:
-		putDecodeState(st)
-		writeErr(w, http.StatusServiceUnavailable, err.Error())
+		// A session that lives elsewhere now answers 421 naming its
+		// owner, so the router can follow it.
+		writeSessionErr(w, err)
 	}
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	sess, ok := sh.sessions[id]
-	if ok {
-		delete(sh.sessions, id)
-	}
-	sh.mu.Unlock()
-	if !ok {
-		// Not in memory — but a suspended session may still hold
-		// durable state. Revive it so the close can flush the detector
-		// and return the final phase events before discarding.
-		if s.store == nil || !s.store.Exists(id) {
-			writeErr(w, http.StatusNotFound, errNoSession.Error())
-			return
-		}
-		revived, err := s.getSession(id, true)
-		if err != nil {
-			var remote *remoteError
-			if errors.As(err, &remote) {
-				w.Header().Set("X-Lpp-Owner", remote.owner)
-				writeErr(w, http.StatusMisdirectedRequest, err.Error())
-				return
-			}
-			writeErr(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		sh.mu.Lock()
-		if sh.sessions[id] == revived {
-			delete(sh.sessions, id)
-			ok = true
-		}
-		sh.mu.Unlock()
-		if !ok {
-			writeErr(w, http.StatusServiceUnavailable, "session contended; retry")
-			return
-		}
-		sess = revived
-	}
-	s.m.sessionsActive.Add(-1)
-	start := time.Now()
-	c := chunk{op: opClose, reply: make(chan result, 1)}
-	select {
-	case sess.queue <- c:
-	case <-sess.done:
-		// Dead worker. Keep the durable state: a retried DELETE will
-		// revive the session and flush it properly.
-		if s.store != nil && s.store.Exists(id) {
-			writeErr(w, http.StatusServiceUnavailable, errSessionDown.Error())
-			return
-		}
-		writeResult(w, result{status: http.StatusOK})
+	// A suspended session is revived so the close can flush the
+	// detector and return the final phase events before discarding.
+	sess, err := s.detach(id, nil)
+	if err != nil {
+		writeSessionErr(w, err)
 		return
 	}
-	var res result
-	select {
-	case res = <-c.reply:
-	case <-sess.done:
-		select {
-		case res = <-c.reply:
-		default:
-			writeErr(w, http.StatusServiceUnavailable, errSessionDown.Error())
-			return
-		}
+	start := time.Now()
+	res, err := sess.roundTrip(chunk{op: opClose})
+	switch {
+	case errors.Is(err, errNotEnqueued) && (s.store == nil || !s.store.Exists(id)):
+		// Dead ephemeral worker: nothing is left to flush.
+		writeResult(w, result{status: http.StatusOK})
+		return
+	case err != nil:
+		// Dead durable worker. Keep the durable state: a retried DELETE
+		// will revive the session and flush it properly.
+		writeErr(w, http.StatusServiceUnavailable, errSessionDown.Error())
+		return
 	}
 	s.m.observeChunk(s.shardIndex(id), time.Since(start), 0)
 	writeResult(w, res)
+}
+
+// writeSessionErr maps a registry error onto its status: 404 for an
+// unknown session, 421 with X-Lpp-Owner for one that moved away, 503
+// for anything else.
+func writeSessionErr(w http.ResponseWriter, err error) {
+	var remote *remoteError
+	switch {
+	case errors.Is(err, errNoSession):
+		writeErr(w, http.StatusNotFound, err.Error())
+	case errors.As(err, &remote):
+		w.Header().Set("X-Lpp-Owner", remote.owner)
+		writeErr(w, http.StatusMisdirectedRequest, err.Error())
+	default:
+		writeErr(w, http.StatusServiceUnavailable, err.Error())
+	}
 }
 
 // handleSessions lists every session this node knows about — live,

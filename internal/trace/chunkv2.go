@@ -45,17 +45,19 @@ func IsChunkV2(head []byte) bool {
 	return len(head) >= len(chunkV2Magic) && string(head[:len(chunkV2Magic)]) == chunkV2Magic
 }
 
-// Columns is the struct-of-arrays form of a decoded v2 chunk. Access
-// addresses and block fields live in separate dense slices; Kinds is
-// the bitmap giving each event's kind in stream order. The slices are
-// reused across DecodeChunkV2 calls, so a long-lived Columns decodes
-// chunk after chunk without allocating.
+// Columns is the struct-of-arrays form of a chunk of trace events.
+// Access addresses and block fields live in separate dense slices;
+// Kinds is the bitmap giving each event's kind in stream order. A v2
+// chunk decodes straight into it (DecodeChunkV2), and row-form events
+// from any other source convert losslessly with AppendEvent. The slices
+// are reused across Reset, so a long-lived Columns fills chunk after
+// chunk without allocating.
 type Columns struct {
 	N      int       // total events
 	Kinds  []byte    // bitmap, LSB-first: bit i set = event i is a block
 	Addrs  []Addr    // access addresses, in stream order
 	IDs    []BlockID // block IDs, in stream order
-	Instrs []int32   // block instruction counts, parallel to IDs
+	Instrs []int     // block instruction counts, parallel to IDs
 }
 
 // Reset empties c without releasing its capacity.
@@ -72,6 +74,24 @@ func (c *Columns) IsBlock(i int) bool {
 	return c.Kinds[i>>3]>>(i&7)&1 == 1
 }
 
+// AppendEvent appends one row-form event. Every field an event of its
+// kind carries is kept as is (Instrs is not narrowed to the wire
+// format's int32), so AppendEvents gives back exactly the events
+// appended since the last Reset.
+func (c *Columns) AppendEvent(ev Event) {
+	if c.N&7 == 0 {
+		c.Kinds = append(c.Kinds, 0)
+	}
+	if ev.Kind == EventBlock {
+		c.Kinds[c.N>>3] |= 1 << (c.N & 7)
+		c.IDs = append(c.IDs, ev.Block)
+		c.Instrs = append(c.Instrs, ev.Instrs)
+	} else {
+		c.Addrs = append(c.Addrs, ev.Addr)
+	}
+	c.N++
+}
+
 // AppendEvents materializes the columns back into row-form events,
 // appending to dst. The round trip through AppendChunkV2 →
 // DecodeChunkV2 → AppendEvents reproduces the original events exactly.
@@ -79,7 +99,7 @@ func (c *Columns) AppendEvents(dst []Event) []Event {
 	ai, bi := 0, 0
 	for i := 0; i < c.N; i++ {
 		if c.IsBlock(i) {
-			dst = append(dst, Event{Kind: EventBlock, Block: c.IDs[bi], Instrs: int(c.Instrs[bi])})
+			dst = append(dst, Event{Kind: EventBlock, Block: c.IDs[bi], Instrs: c.Instrs[bi]})
 			bi++
 		} else {
 			dst = append(dst, Event{Kind: EventAccess, Addr: c.Addrs[ai]})
@@ -269,7 +289,7 @@ func DecodeChunkV2(data []byte, c *Columns, maxEvents int) error {
 			return fmt.Errorf("trace: chunk v2: instrs %d outside int32", v)
 		}
 		for k := uint64(0); k < cnt; k++ {
-			c.Instrs = append(c.Instrs, int32(v))
+			c.Instrs = append(c.Instrs, int(v))
 		}
 	}
 	if off != len(data) {

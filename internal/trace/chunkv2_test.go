@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -177,6 +178,81 @@ func TestChunkV2EncodeRejectsWideInstrs(t *testing.T) {
 	_, err := AppendChunkV2(nil, []Event{{Kind: EventBlock, Block: 1, Instrs: math.MaxInt32 + 1}})
 	if err == nil {
 		t.Fatal("instrs beyond int32 accepted")
+	}
+}
+
+// TestColumnsAppendEvent pins the row-to-column conversion every
+// non-v2 ingest format goes through: filling a reused Columns event by
+// event must round-trip through AppendEvents exactly, leave no kind bit
+// from an earlier chunk behind, match what DecodeChunkV2 builds for the
+// same events wherever the wire format can carry them, and keep
+// instruction counts the int32 wire column cannot.
+func TestColumnsAppendEvent(t *testing.T) {
+	accesses := make([]Event, 13) // not a multiple of 8
+	for i := range accesses {
+		accesses[i] = Event{Kind: EventAccess, Addr: Addr(0x1000 + 64*i)}
+	}
+	blocks := make([]Event, 11)
+	for i := range blocks {
+		blocks[i] = Event{Kind: EventBlock, Block: BlockID(i % 3), Instrs: i}
+	}
+	cases := map[string][]Event{
+		"empty":         {},
+		"odd_mixed":     chunkCases()["mixed"],
+		"random":        chunkCases()["random"],
+		"extremes":      chunkCases()["extremes"],
+		"accesses_only": accesses,
+		"blocks_only":   blocks,
+		"wide_instrs": {
+			{Kind: EventBlock, Block: 1, Instrs: math.MaxInt32 + 1},
+			{Kind: EventAccess, Addr: 8},
+			{Kind: EventBlock, Block: 2, Instrs: math.MaxInt},
+			{Kind: EventBlock, Block: 3, Instrs: -1},
+		},
+	}
+	// Every case reuses one Columns that last held a dense all-blocks
+	// chunk, so a kind bit surviving Reset would turn an access into a
+	// block.
+	var c Columns
+	for name, events := range cases {
+		t.Run(name, func(t *testing.T) {
+			c.Reset()
+			for i := 0; i < 64; i++ {
+				c.AppendEvent(Event{Kind: EventBlock, Block: 1, Instrs: 1})
+			}
+			c.Reset()
+			for _, ev := range events {
+				c.AppendEvent(ev)
+			}
+			if c.N != len(events) || len(c.Kinds) != (len(events)+7)/8 || len(c.Addrs)+len(c.IDs) != c.N || len(c.Instrs) != len(c.IDs) {
+				t.Fatalf("shape: N=%d kinds=%d addrs=%d ids=%d instrs=%d for %d events",
+					c.N, len(c.Kinds), len(c.Addrs), len(c.IDs), len(c.Instrs), len(events))
+			}
+			got := c.AppendEvents(nil)
+			if len(got) != len(events) {
+				t.Fatalf("round trip: %d events, want %d", len(got), len(events))
+			}
+			for i := range events {
+				if got[i] != events[i] {
+					t.Fatalf("event %d = %+v, want %+v", i, got[i], events[i])
+				}
+			}
+			data, err := AppendChunkV2(nil, events)
+			if err != nil {
+				if name != "wide_instrs" {
+					t.Fatalf("encode: %v", err)
+				}
+				return // not representable on the wire; the rows carry it
+			}
+			var d Columns
+			if err := DecodeChunkV2(data, &d, 0); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if d.N != c.N || !bytes.Equal(d.Kinds, c.Kinds) || !slices.Equal(d.Addrs, c.Addrs) ||
+				!slices.Equal(d.IDs, c.IDs) || !slices.Equal(d.Instrs, c.Instrs) {
+				t.Fatalf("AppendEvent columns differ from DecodeChunkV2's:\n got  %+v\n want %+v", c, d)
+			}
+		})
 	}
 }
 
