@@ -16,9 +16,11 @@ import (
 // same fused loop, so the degraded regime batches exactly like the
 // healthy one.
 //
-// Allocation: the dispatch loop and the analyzer half of step (access,
-// Fenwick update, compaction, eviction) allocate nothing in the steady
-// state — TestAccessBatchHotPathZeroAllocs and
+// Allocation: the dispatch loop and the analyzer half of step (the
+// last-access index probe, Fenwick update, compaction, and the
+// eviction sweep of the index) allocate nothing in the steady state,
+// and neither does the sampler's datum lookup, a probe of the same
+// kind of index — TestAccessBatchHotPathZeroAllocs and
 // reuse.TestApproxAccessEvictZeroAllocs pin that. The sampling and
 // boundary half does allocate, per sample or per boundary rather than
 // per event: recordSample grows the per-datum sample windows, each

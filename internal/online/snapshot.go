@@ -426,7 +426,7 @@ func (d *Detector) Restore(data []byte) error {
 		dec.fail("%d slots exceed cap %d", nSlots, nd.cfg.MaxDataSamples)
 	}
 	nd.data = make([]*datum, 0, nSlots)
-	nd.dataIDs = make(map[trace.Addr]int)
+	nd.dataIDs = newDataIndex(nd.cfg)
 	nils := 0
 	for i := 0; i < nSlots && dec.err == nil; i++ {
 		if !dec.flag() {
@@ -453,11 +453,10 @@ func (d *Detector) Restore(data []byte) error {
 			dec.fail("undecided %d out of window %d", dt.undecided, len(dt.times))
 			break
 		}
-		if _, dup := nd.dataIDs[dt.addr]; dup {
+		if _, dup := nd.dataIDs.Swap(dt.addr, int64(len(nd.data))); dup {
 			dec.fail("duplicate datum address %#x", uint64(dt.addr))
 			break
 		}
-		nd.dataIDs[dt.addr] = len(nd.data)
 		nd.sorted = append(nd.sorted, dt.addr)
 		nd.data = append(nd.data, dt)
 	}

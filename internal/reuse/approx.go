@@ -16,14 +16,18 @@ import (
 // element's position *within* its bucket, so the reported distance is
 // within a factor of (1±ε) of the true one for distances ≳ 1/ε.
 //
-// An Access costs O(log B) for B buckets: a binary search for the
-// previous access's bucket, and Fenwick-tree prefix sums for the count
-// of newer elements. On top of that comes the O(B) compaction, which
-// runs only when the bucket count passes four times its target and
-// leaves far fewer, so it is amortized over the accesses in between.
+// An Access costs one probe sequence of the last-access index
+// (trace.AddrIndex, whose Swap looks up the previous time and stores
+// the new one together) plus O(log B) for B buckets: a binary search
+// for the previous access's bucket, and Fenwick-tree prefix sums for
+// the count of newer elements. On top of that comes the O(B)
+// compaction, which runs only when the bucket count passes four times
+// its target and leaves far fewer, so it is amortized over the
+// accesses in between. EvictOldest forgets addresses with one
+// in-place sweep of the index.
 type ApproxAnalyzer struct {
 	eps  float64
-	last map[trace.Addr]int64
+	last *trace.AddrIndex // element -> last access time
 
 	// buckets are in ascending time order: bucket i covers times
 	// (buckets[i-1].maxTime, buckets[i].maxTime].
@@ -59,7 +63,7 @@ func NewApproxAnalyzer(eps float64) *ApproxAnalyzer {
 	if eps <= 0 || eps >= 1 {
 		eps = 0.05
 	}
-	a := &ApproxAnalyzer{eps: eps, last: make(map[trace.Addr]int64)}
+	a := &ApproxAnalyzer{eps: eps, last: trace.NewAddrIndex(0)}
 	a.rebuild()
 	return a
 }
@@ -69,8 +73,7 @@ func NewApproxAnalyzer(eps float64) *ApproxAnalyzer {
 func (a *ApproxAnalyzer) Access(addr trace.Addr) int64 {
 	t := a.now
 	a.now++
-	prev, seen := a.last[addr]
-	a.last[addr] = t
+	prev, seen := a.last.Swap(addr, t)
 
 	dist := Infinite
 	if seen {
@@ -111,7 +114,7 @@ func (a *ApproxAnalyzer) Access(addr trace.Addr) int64 {
 // read, and a branch. maxLive <= 0 disables eviction.
 func (a *ApproxAnalyzer) AccessEvict(addr trace.Addr, maxLive int) int64 {
 	d := a.Access(addr)
-	if maxLive > 0 && len(a.last) > maxLive {
+	if maxLive > 0 && a.last.Len() > maxLive {
 		a.EvictOldest(maxLive / 2)
 	}
 	return d
@@ -132,12 +135,13 @@ func (a *ApproxAnalyzer) AccessBatch(addrs []trace.Addr, maxLive int, dists []in
 }
 
 // Distinct returns the number of distinct elements seen so far.
-func (a *ApproxAnalyzer) Distinct() int { return len(a.last) }
+func (a *ApproxAnalyzer) Distinct() int { return a.last.Len() }
 
 // EvictOldest caps the analyzer's memory at maxLive tracked elements by
 // forgetting the least-recently-accessed ones: whole oldest buckets are
 // dropped until at most maxLive live elements remain, and the addresses
-// whose last access fell in a dropped bucket are removed. A later
+// whose last access fell in a dropped bucket are removed in one
+// allocation-free sweep of the last-access index. A later
 // access to an evicted address reads as a cold miss (Infinite), the
 // same graceful degradation a smaller profiling window would give. It
 // returns the number of elements evicted.
@@ -160,11 +164,7 @@ func (a *ApproxAnalyzer) EvictOldest(maxLive int) int {
 	a.rebuild()
 	// Every address's single live slot is its last-access time, so the
 	// evicted addresses are exactly those at or before the cutoff.
-	for addr, t := range a.last {
-		if t <= cutoff {
-			delete(a.last, addr)
-		}
-	}
+	a.last.DeleteUpTo(cutoff)
 	return int(dropped)
 }
 

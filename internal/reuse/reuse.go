@@ -7,7 +7,9 @@
 // fully-associative LRU cache of capacity C iff d < C.
 //
 // The implementation keeps, for every live element, the logical time of
-// its most recent access, and a Fenwick (binary indexed) tree with one
+// its most recent access in an open-addressing address index
+// (trace.AddrIndex: one probe sequence both reads the previous time and
+// stores the new one), and a Fenwick (binary indexed) tree with one
 // set bit per live element at that time. The distance of an access is
 // then a single prefix-sum query. Because logical time grows without
 // bound while the number of live elements does not, the tree is
@@ -25,26 +27,28 @@ import (
 // Infinite is the distance reported for a cold (first-ever) access.
 const Infinite = int64(-1)
 
-// Analyzer measures the reuse distance of a stream of accesses.
+// Analyzer measures the reuse distance of a stream of accesses. Its
+// steady-state Access loop, compactions included, allocates nothing
+// (TestAnalyzerAccessZeroAllocs).
 type Analyzer struct {
-	last map[trace.Addr]int64 // element -> last access time (tree index)
-	tree []int64              // Fenwick tree over time slots, 1-based
-	now  int64                // next time slot to use
+	last *trace.AddrIndex // element -> last access time (tree index)
+	tree []int64          // Fenwick tree over time slots, 1-based
+	now  int64            // next time slot to use
 
 	// scratch is reused across compactions so the steady state of
 	// the Access hot loop allocates nothing.
 	scratch []int64
 }
 
-// lastMapHint pre-sizes the last-access map: the analyzer sits on the
-// hot path of every sampled access, and growing the map from empty
-// costs a rehash cascade during the first thousands of accesses.
-const lastMapHint = 1 << 12
+// lastHint pre-sizes the last-access index: the analyzer sits on the
+// hot path of every sampled access, and growing the index from empty
+// costs a cascade of re-seats during the first thousands of accesses.
+const lastHint = 1 << 12
 
 // NewAnalyzer returns an empty Analyzer.
 func NewAnalyzer() *Analyzer {
 	return &Analyzer{
-		last: make(map[trace.Addr]int64, lastMapHint),
+		last: trace.NewAddrIndex(lastHint),
 		tree: make([]int64, 1<<16),
 		now:  0,
 	}
@@ -59,8 +63,7 @@ func (a *Analyzer) Access(addr trace.Addr) int64 {
 	}
 	t := a.now
 	a.now++
-	prev, seen := a.last[addr]
-	a.last[addr] = t
+	prev, seen := a.last.Swap(addr, t)
 	a.add(t, 1)
 	if !seen {
 		return Infinite
@@ -74,7 +77,7 @@ func (a *Analyzer) Access(addr trace.Addr) int64 {
 }
 
 // Distinct returns the number of distinct elements seen so far.
-func (a *Analyzer) Distinct() int { return len(a.last) }
+func (a *Analyzer) Distinct() int { return a.last.Len() }
 
 // compact remaps live last-access times onto 0..n-1 (order-preserving)
 // and rebuilds the Fenwick tree, growing it if the live set needs room.
@@ -86,9 +89,9 @@ func (a *Analyzer) Distinct() int { return len(a.last) }
 // instead of n individual O(log size) point updates.
 func (a *Analyzer) compact() {
 	times := a.scratch[:0]
-	for _, t := range a.last {
-		times = append(times, t)
-	}
+	a.last.Range(func(_ trace.Addr, t *int64) {
+		times = append(times, *t)
+	})
 	slices.Sort(times)
 	a.scratch = times
 	size := len(a.tree)
@@ -100,10 +103,10 @@ func (a *Analyzer) compact() {
 	} else {
 		a.tree = make([]int64, size)
 	}
-	for addr, t := range a.last {
-		r, _ := slices.BinarySearch(times, t)
-		a.last[addr] = int64(r)
-	}
+	a.last.Range(func(_ trace.Addr, t *int64) {
+		r, _ := slices.BinarySearch(times, *t)
+		*t = int64(r)
+	})
 	// Slots 0..n-1 (tree indices 1..n) each hold one set bit; a
 	// Fenwick node i covers (i-lowbit(i), i], so its value is the
 	// overlap of that range with [1, n].

@@ -255,3 +255,37 @@ func TestCompactPreservesDistances(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzerAccessZeroAllocs pins the exact analyzer's hot loop at
+// zero allocations: after warm-up on the tomcatv Train trace, 4K-access
+// chunks through Access allocate nothing, and the measured window
+// spans at least one compaction, so the index walks, the scratch sort
+// and the tree rebuild are covered too.
+func TestAnalyzerAccessZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts race-runtime allocations")
+	}
+	addrs := trainAccesses(t, "tomcatv")
+	const chunk, warm = 4096, 1 << 20
+	a := NewAnalyzer()
+	for _, addr := range addrs[:warm] {
+		a.Access(addr)
+	}
+	off, compactions := warm, 0
+	avg := testing.AllocsPerRun(100, func() {
+		for _, addr := range addrs[off : off+chunk] {
+			before := a.now
+			a.Access(addr)
+			if a.now <= before {
+				compactions++
+			}
+		}
+		off += chunk
+	})
+	if avg != 0 {
+		t.Errorf("steady-state Access: %.2f allocs per %d-access chunk, want 0", avg, chunk)
+	}
+	if compactions == 0 {
+		t.Errorf("no compaction in the measured window")
+	}
+}

@@ -3,7 +3,7 @@ package reuse
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lpp/internal/trace"
 )
@@ -26,23 +26,26 @@ type ApproxState struct {
 	BucketCounts []int64
 }
 
-// State snapshots the analyzer.
+// State snapshots the analyzer. The addresses are collected in one
+// sweep of the index and sorted, so the result does not depend on the
+// index's slot order; each time is then one index lookup.
 func (a *ApproxAnalyzer) State() ApproxState {
+	n := a.last.Len()
 	st := ApproxState{
 		Eps:          a.eps,
 		Now:          a.now,
 		Live:         a.live,
-		Addrs:        make([]trace.Addr, 0, len(a.last)),
-		Times:        make([]int64, 0, len(a.last)),
+		Addrs:        make([]trace.Addr, 0, n),
+		Times:        make([]int64, n),
 		BucketTimes:  make([]int64, 0, len(a.buckets)),
 		BucketCounts: make([]int64, 0, len(a.buckets)),
 	}
-	for addr := range a.last {
+	a.last.Range(func(addr trace.Addr, _ *int64) {
 		st.Addrs = append(st.Addrs, addr)
-	}
-	sort.Slice(st.Addrs, func(i, j int) bool { return st.Addrs[i] < st.Addrs[j] })
-	for _, addr := range st.Addrs {
-		st.Times = append(st.Times, a.last[addr])
+	})
+	slices.Sort(st.Addrs)
+	for i, addr := range st.Addrs {
+		st.Times[i], _ = a.last.Get(addr)
 	}
 	for _, b := range a.buckets {
 		st.BucketTimes = append(st.BucketTimes, b.maxTime)
@@ -94,7 +97,7 @@ func NewApproxFromState(st ApproxState) (*ApproxAnalyzer, error) {
 		eps:  st.Eps,
 		now:  st.Now,
 		live: st.Live,
-		last: make(map[trace.Addr]int64, len(st.Addrs)),
+		last: trace.NewAddrIndex(len(st.Addrs)),
 	}
 	for i, addr := range st.Addrs {
 		if i > 0 && addr <= st.Addrs[i-1] {
@@ -104,7 +107,7 @@ func NewApproxFromState(st ApproxState) (*ApproxAnalyzer, error) {
 		if t < 0 || t > maxTime {
 			return nil, fmt.Errorf("%w: last-access time %d outside buckets", errApproxState, t)
 		}
-		a.last[addr] = t
+		a.last.Swap(addr, t)
 	}
 	a.buckets = make([]approxBucket, len(st.BucketTimes))
 	for i := range st.BucketTimes {
