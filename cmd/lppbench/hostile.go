@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -27,7 +28,7 @@ type hostileReport struct {
 // runHostile executes the differential torture harness — offline,
 // streaming, and HTTP paths over the hostile families — and writes
 // BENCH_hostile.json. An empty family runs all three.
-func runHostile(outDir, family string) error {
+func runHostile(stdout io.Writer, outDir, family string) error {
 	start := time.Now()
 	rep := hostileReport{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -48,14 +49,14 @@ func runHostile(outDir, family string) error {
 	}
 	rep.Seconds = time.Since(start).Seconds()
 
-	fmt.Printf("%-12s %9s %6s %6s %6s %6s %8s %8s %8s\n",
+	fmt.Fprintf(stdout, "%-12s %9s %6s %6s %6s %6s %8s %8s %8s\n",
 		"family", "accesses", "truth", "off", "on", "http", "offrec", "trec", "tprec")
 	for _, r := range rep.Families {
 		parity := "OK"
 		if !r.HTTPParity {
 			parity = "DIVERGED"
 		}
-		fmt.Printf("%-12s %9d %6d %6d %6d %6s %8.3f %8.3f %8.3f\n",
+		fmt.Fprintf(stdout, "%-12s %9d %6d %6d %6d %6s %8.3f %8.3f %8.3f\n",
 			r.Family, r.Accesses, r.TruthBoundaries, r.OfflineBoundaries,
 			r.OnlineBoundaries, parity, r.OfflineRecall, r.TruthRecall, r.TruthPrecision)
 	}
@@ -74,13 +75,13 @@ func runHostile(outDir, family string) error {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", out)
+	fmt.Fprintf(stdout, "wrote %s\n", out)
 	return nil
 }
 
 // listHostile prints the hostile families for -hostile -list style use.
-func listHostile() {
+func listHostile(stdout io.Writer) {
 	for _, s := range workload.Hostile() {
-		fmt.Printf("%-12s %s\n", s.Name, s.Description)
+		fmt.Fprintf(stdout, "%-12s %s\n", s.Name, s.Description)
 	}
 }

@@ -1,5 +1,8 @@
 // Command lppbench regenerates the tables and figures of the paper's
-// evaluation section.
+// evaluation section, and writes the BENCH_* artifacts for the
+// warm-start, hostile-torture and routed-cluster runs. Throughput of
+// the stream, ingest and offline paths is measured by the repository
+// benchmark (bash perfbench/run.sh).
 //
 // Usage:
 //
@@ -9,17 +12,16 @@
 //	lppbench -out results/      # also write CSV artifacts
 //	lppbench -j 8               # analysis worker pool (default GOMAXPROCS)
 //	lppbench -list              # list experiments
-//	lppbench -offline           # offline-pipeline benchmark, write BENCH_offline.json
 //	lppbench -warmstart         # knowledge-store warm-start benchmark, write BENCH_warmstart.json
-//	lppbench -stream t.trace    # replay a trace against lppserve, write BENCH_stream.json
-//	lppbench -sessions 8 -concurrency 8   # concurrent multi-session ingest, write BENCH_ingest.json
 //	lppbench -cluster           # routed 3-node chaos benchmark, write BENCH_cluster.json
 //	lppbench -hostile [-family drift]     # differential torture harness, write BENCH_hostile.json
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -30,107 +32,81 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "lppbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is main minus the process exit, so tests can drive every mode
+// in-process. Reports go to stdout; timing goes to stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("lppbench", flag.ContinueOnError)
 	var (
-		exp      = flag.String("exp", "", "comma-separated experiment names (default all)")
-		quick    = flag.Bool("quick", false, "shrink inputs for a fast run")
-		out      = flag.String("out", "", "directory for CSV/SVG artifacts")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "analysis worker-pool size; 1 = strictly sequential (output is identical at any setting)")
-		html     = flag.String("html", "", "write a self-contained HTML report to this file (needs -out)")
-		offline  = flag.Bool("offline", false, "benchmark the offline pipeline at -j 1 vs -j N (writes BENCH_offline.json)")
-		warm     = flag.Bool("warmstart", false, "benchmark knowledge-store warm starts on the golden workloads (writes BENCH_warmstart.json)")
-		stream   = flag.String("stream", "", "trace file to replay against lppserve (see -addr)")
-		addr     = flag.String("addr", "", "lppserve address for -stream/-sessions (default: in-process server)")
-		chunkLen = flag.Int("chunk", 16384, "events per chunk for -stream and -sessions")
-		sessions = flag.Int("sessions", 0, "multi-session ingest load mode: number of sessions (writes BENCH_ingest.json)")
-		cluster  = flag.Bool("cluster", false, "routed 3-node cluster: kill a node mid-ingest, live-migrate a session under load, verify zero loss (writes BENCH_cluster.json)")
-		conc     = flag.Int("concurrency", 0, "concurrent sessions in flight for -sessions (default: all)")
-		shards   = flag.Int("shards", 0, "session-table shard count for the in-process server (0 = server default)")
-		perSess  = flag.Int("events", 200_000, "events per session for -sessions")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		hostile  = flag.Bool("hostile", false, "run the differential torture harness over the hostile families (writes BENCH_hostile.json)")
-		family   = flag.String("family", "", "restrict -hostile to one family: interleaved, drift, or adaptive")
-		format   = flag.String("format", "v2", "chunk wire format for -stream/-sessions: v1 (row binary) or v2 (columnar)")
-		minScale = flag.Float64("minscale", 0, "fail if the best multi-core scaling point is below this multiple of single-core throughput (0 = no check; skipped on single-CPU hosts)")
+		exp      = fs.String("exp", "", "comma-separated experiment names (default all)")
+		quick    = fs.Bool("quick", false, "shrink inputs for a fast run")
+		out      = fs.String("out", "", "directory for CSV/SVG artifacts")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		jobs     = fs.Int("j", runtime.GOMAXPROCS(0), "analysis worker-pool size; 1 = strictly sequential (output is identical at any setting)")
+		html     = fs.String("html", "", "write a self-contained HTML report to this file (needs -out)")
+		warm     = fs.Bool("warmstart", false, "benchmark knowledge-store warm starts on the golden workloads (writes BENCH_warmstart.json)")
+		chunkLen = fs.Int("chunk", 16384, "events per chunk for -cluster")
+		cluster  = fs.Bool("cluster", false, "routed 3-node cluster: kill a node mid-ingest, live-migrate a session under load, verify zero loss (writes BENCH_cluster.json)")
+		perSess  = fs.Int("events", 200_000, "event budget for -cluster (each of its 12 sessions streams a quarter of it, at least 20000)")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		hostile  = fs.Bool("hostile", false, "run the differential torture harness over the hostile families (writes BENCH_hostile.json)")
+		family   = fs.String("family", "", "restrict -hostile to one family: interleaved, drift, or adaptive")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
 	if *jobs < 1 {
 		*jobs = 1
 	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProf()
 
-	if *offline {
-		if err := runOffline(*out, *jobs, *quick, *minScale); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *warm {
-		if err := runWarmstartBench(*out); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *hostile {
-		if *list {
-			listHostile()
-			return
-		}
-		if err := runHostile(*out, *family); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *cluster {
-		if err := runCluster(*out, *perSess, *chunkLen); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *sessions > 0 {
-		if err := runIngest(*addr, *out, *sessions, *conc, *shards, *perSess, *chunkLen, *format, *minScale); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *stream != "" {
-		if err := runStream(*stream, *addr, *out, *chunkLen, *format, *minScale); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *list {
+	switch {
+	case *warm:
+		return runWarmstartBench(stdout, *out)
+	case *hostile && *list:
+		listHostile(stdout)
+		return nil
+	case *hostile:
+		return runHostile(stdout, *out, *family)
+	case *cluster:
+		return runCluster(stdout, *out, *perSess, *chunkLen)
+	case *list:
 		for _, e := range experiments.All() {
-			fmt.Printf("%-12s %s\n", e.Name, e.Title)
+			fmt.Fprintf(stdout, "%-12s %s\n", e.Name, e.Title)
 		}
 		for _, e := range experiments.Extensions() {
-			fmt.Printf("%-12s %s\n", e.Name, e.Title)
+			fmt.Fprintf(stdout, "%-12s %s\n", e.Name, e.Title)
 		}
-		return
+		return nil
 	}
 
-	var run []experiments.Experiment
+	var exps []experiments.Experiment
 	if *exp == "" {
-		run = experiments.All()
+		exps = experiments.All()
 	} else {
 		for _, name := range strings.Split(*exp, ",") {
 			e, err := experiments.ByName(strings.TrimSpace(name))
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			run = append(run, e)
+			exps = append(exps, e)
 		}
 	}
 
@@ -143,34 +119,30 @@ func main() {
 
 	if *html != "" {
 		if *out == "" {
-			fatal(fmt.Errorf("-html needs -out for the figure artifacts"))
+			return fmt.Errorf("-html needs -out for the figure artifacts")
 		}
 		f, err := os.Create(*html)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		err = experiments.HTMLReport(f, run, opts)
+		err = experiments.HTMLReport(f, exps, opts)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("report written to %s\n", *html)
-		return
+		fmt.Fprintf(stdout, "report written to %s\n", *html)
+		return nil
 	}
 
 	// The report itself is deterministic and ordered; timing goes to
 	// stderr so stdout is byte-identical at every -j.
 	start := time.Now()
-	if err := experiments.RunReport(os.Stdout, run, opts); err != nil {
-		fatal(err)
+	if err := experiments.RunReport(stdout, exps, opts); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "lppbench: %d experiments in %v (-j %d)\n",
-		len(run), time.Since(start).Round(time.Millisecond), *jobs)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lppbench:", err)
-	os.Exit(1)
+		len(exps), time.Since(start).Round(time.Millisecond), *jobs)
+	return nil
 }

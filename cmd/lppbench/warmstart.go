@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -57,7 +58,7 @@ type warmstartReport struct {
 // once without (cold) — and report first-prediction latency and the
 // accuracy/coverage lift. One shared store, not one per workload, so
 // the numbers also cover fingerprint discrimination.
-func runWarmstartBench(outDir string) error {
+func runWarmstartBench(stdout io.Writer, outDir string) error {
 	start := time.Now()
 	store := knowledge.NewStore(knowledge.Config{})
 	cases := warmstart.Cases()
@@ -113,15 +114,15 @@ func runWarmstartBench(outDir string) error {
 	}
 	rep.Seconds = time.Since(start).Seconds()
 
-	fmt.Printf("knowledge store: %d programs, %d bytes\n", rep.StorePrograms, rep.StoreBytes)
-	fmt.Printf("%-10s %8s %8s %10s %10s %9s %9s\n",
+	fmt.Fprintf(stdout, "knowledge store: %d programs, %d bytes\n", rep.StorePrograms, rep.StoreBytes)
+	fmt.Fprintf(stdout, "%-10s %8s %8s %10s %10s %9s %9s\n",
 		"workload", "coldfp", "warmfp", "coldtime", "warmtime", "coldacc", "warmacc")
 	for _, r := range rep.Workloads {
-		fmt.Printf("%-10s %8d %8d %10d %10d %9.3f %9.3f\n",
+		fmt.Fprintf(stdout, "%-10s %8d %8d %10d %10d %9.3f %9.3f\n",
 			r.Name, r.ColdFirstBoundary, r.WarmFirstBoundary,
 			r.ColdFirstTime, r.WarmFirstTime, r.ColdAccuracy, r.WarmAccuracy)
 	}
-	fmt.Printf("warm first prediction strictly earlier on %d/%d workloads\n",
+	fmt.Fprintf(stdout, "warm first prediction strictly earlier on %d/%d workloads\n",
 		rep.EarlierCount, len(rep.Workloads))
 
 	out := "BENCH_warmstart.json"
@@ -138,6 +139,6 @@ func runWarmstartBench(outDir string) error {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("report written to %s\n", out)
+	fmt.Fprintf(stdout, "report written to %s\n", out)
 	return nil
 }

@@ -1,5 +1,5 @@
 // Package httpx holds the HTTP retry policy shared by every client in
-// the system — the lppbench ingest/stream/cluster drivers, the
+// the system — perfbench's stream clients, lppbench's -cluster run, the
 // checkpoint replicator, and the cluster router. The policy has two
 // halves: capped exponential backoff with jitter for failures the
 // server said nothing useful about, and server-paced waits for 429s

@@ -120,20 +120,6 @@ func (a *ApproxAnalyzer) AccessEvict(addr trace.Addr, maxLive int) int64 {
 	return d
 }
 
-// AccessBatch records a reference to each address in order, writing the
-// approximate reuse distance of addrs[i] into dists[i] (len(dists) must
-// be at least len(addrs)). When maxLive is positive, the eviction rule
-// runs after each access via AccessEvict, interleaved exactly as a
-// caller making one Access and one EvictOldest check per reference
-// would, so batched and per-call processing yield identical distances.
-func (a *ApproxAnalyzer) AccessBatch(addrs []trace.Addr, maxLive int, dists []int64) []int64 {
-	dists = dists[:len(addrs)]
-	for i, addr := range addrs {
-		dists[i] = a.AccessEvict(addr, maxLive)
-	}
-	return dists
-}
-
 // Distinct returns the number of distinct elements seen so far.
 func (a *ApproxAnalyzer) Distinct() int { return a.last.Len() }
 

@@ -1,7 +1,6 @@
 package reuse
 
 import (
-	"math/rand"
 	"testing"
 
 	"lpp/internal/stats"
@@ -164,54 +163,5 @@ func TestApproxEvictKeepsDistancesConsistent(t *testing.T) {
 	}
 	if ap.Distinct() > 2*cap {
 		t.Errorf("Distinct = %d, cap %d not enforced", ap.Distinct(), cap)
-	}
-}
-
-// TestApproxAccessBatchMatchesPerCall: the batched entry point must be
-// bit-identical to the per-call Access + EvictOldest interleave it
-// replaces on the ingest hot path, eviction points included.
-func TestApproxAccessBatchMatchesPerCall(t *testing.T) {
-	const n = 20000
-	const maxLive = 256
-	rng := rand.New(rand.NewSource(42))
-	addrs := make([]trace.Addr, n)
-	for i := range addrs {
-		// Mix a hot set, a drifting sweep, and cold addresses so both
-		// the eviction rule and the compaction path fire.
-		switch rng.Intn(3) {
-		case 0:
-			addrs[i] = trace.Addr(rng.Intn(64))
-		case 1:
-			addrs[i] = trace.Addr(1000 + i/4)
-		default:
-			addrs[i] = trace.Addr(1 << 20 * uint64(i))
-		}
-	}
-	serial := NewApproxAnalyzer(0)
-	want := make([]int64, n)
-	for i, a := range addrs {
-		want[i] = serial.Access(a)
-		if serial.Distinct() > maxLive {
-			serial.EvictOldest(maxLive / 2)
-		}
-	}
-	batched := NewApproxAnalyzer(0)
-	got := make([]int64, n)
-	// Uneven batch sizes so batch boundaries land everywhere.
-	for off := 0; off < n; {
-		end := off + 1 + rng.Intn(997)
-		if end > n {
-			end = n
-		}
-		batched.AccessBatch(addrs[off:end], maxLive, got[off:end])
-		off = end
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("access %d (addr %#x): batched dist %d, per-call %d", i, addrs[i], got[i], want[i])
-		}
-	}
-	if got, want := batched.Distinct(), serial.Distinct(); got != want {
-		t.Errorf("distinct = %d, want %d", got, want)
 	}
 }

@@ -80,3 +80,53 @@ func TestApproxAccessEvictZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestApproxRelativeErrorOnTrainTraces enforces the (1±ε) bound the
+// ApproxAnalyzer doc states, on real traces rather than random
+// addresses: the exact and approximate analyzers run side by side with
+// no eviction over four Train traces, and every exact distance of at
+// least 1/ε must be matched within relative error ε. Cold misses must
+// agree exactly. The worst error seen is about 0.5–0.6ε, so the bound
+// holds with room to spare.
+func TestApproxRelativeErrorOnTrainTraces(t *testing.T) {
+	names := []string{"tomcatv", "swim", "applu", "fft"}
+	if raceEnabled {
+		names = []string{"fft"} // each trace takes ~8 s under -race
+	}
+	for _, name := range names {
+		addrs := trainAccesses(t, name)
+		for _, eps := range []float64{0.05, 0.1} {
+			ex, ap := NewAnalyzer(), NewApproxAnalyzer(eps)
+			minDist := int64(1 / eps)
+			var worst float64
+			checked := 0
+			for i, addr := range addrs {
+				want, got := ex.Access(addr), ap.Access(addr)
+				if want == Infinite || got == Infinite {
+					if want != got {
+						t.Fatalf("%s eps=%g access %d: exact %d, approx %d (cold misses must agree)", name, eps, i, want, got)
+					}
+					continue
+				}
+				if want < minDist {
+					continue
+				}
+				checked++
+				rel := float64(got-want) / float64(want)
+				if rel < 0 {
+					rel = -rel
+				}
+				if rel > worst {
+					worst = rel
+				}
+			}
+			if checked == 0 {
+				t.Fatalf("%s eps=%g: no distance of at least %d to check", name, eps, minDist)
+			}
+			if worst > eps {
+				t.Errorf("%s eps=%g: worst relative error %.4f over %d distances ≥ %d, want ≤ eps", name, eps, worst, checked, minDist)
+			}
+			t.Logf("%s eps=%g: %d accesses, %d checked, worst relative error %.3fε", name, eps, len(addrs), checked, worst/eps)
+		}
+	}
+}
