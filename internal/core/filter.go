@@ -2,14 +2,15 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"lpp/internal/sampling"
 	"lpp/internal/wavelet"
 )
 
-// filterSubTrace decides which access samples of one data sample
-// survive filtering. Two complementary rules, both aimed at the
+// FilterSubTrace decides which access samples of one data sample
+// survive filtering. Four complementary rules, all aimed at the
 // paper's goal — "the wavelet filtering removes reuses of the same
 // data within a phase" so that "the remaining is mainly accesses to
 // different data samples clustered at phase boundaries":
@@ -41,33 +42,48 @@ import (
 //     period, like a token buffer reused once per compiled function.
 //     All its samples are kept so the boundaries can be marked even
 //     though their lengths will not be predictable.
-func filterSubTrace(dists []float64, fam wavelet.Family, keepIrregular bool) []bool {
-	return FilterSubTrace(dists, fam, keepIrregular)
+func FilterSubTrace(dists []float64, fam wavelet.Family, keepIrregular bool) []bool {
+	return NewSubTraceFilter(fam, keepIrregular).Filter(dists)
 }
 
-// FilterSubTrace exposes the per-sub-trace filter to other detection
-// front ends (the online detector applies it over a sliding window of
-// each data sample's recent distances, so online and offline share one
-// rule set).
-func FilterSubTrace(dists []float64, fam wavelet.Family, keepIrregular bool) []bool {
+// SubTraceFilter is FilterSubTrace with reusable state, for front ends
+// that filter many windows: the online detector applies it over a
+// sliding window of each data sample's recent distances, so online and
+// offline share one rule set. It derives the wavelet taps once, keeps
+// its result and scratch buffers across calls, and sorts each window
+// at most once, on first need — by the bimodal rule or by a caller's
+// Sorted. A SubTraceFilter is not safe for concurrent use.
+type SubTraceFilter struct {
+	keepIrregular bool
+	wave          *wavelet.Keeper
+	all           []bool
+
+	dists    []float64 // the window of the last Filter call
+	sorted   []float64
+	isSorted bool
+}
+
+// NewSubTraceFilter returns a filter with FilterSubTrace's rules for
+// the family and irregular-signal setting.
+func NewSubTraceFilter(fam wavelet.Family, keepIrregular bool) *SubTraceFilter {
+	return &SubTraceFilter{keepIrregular: keepIrregular, wave: wavelet.NewKeeper(fam)}
+}
+
+// Filter returns FilterSubTrace(dists, fam, keepIrregular). The result
+// is owned by the filter and valid until the next call; dists must not
+// change while the result or Sorted is in use.
+func (f *SubTraceFilter) Filter(dists []float64) []bool {
+	f.dists, f.isSorted = dists, false
 	if len(dists) >= 4 && coefVar(dists) < 0.25 {
-		keep := make([]bool, len(dists))
-		for i := range keep {
-			keep[i] = true
-		}
-		return keep
+		return f.keepAll(len(dists))
 	}
-	if keepIrregular && len(dists) >= 4 {
+	if f.keepIrregular && len(dists) >= 4 {
 		if ac := lag1Autocorr(dists); ac < 0.3 && ac > -0.3 {
-			keep := make([]bool, len(dists))
-			for i := range keep {
-				keep[i] = true
-			}
-			return keep
+			return f.keepAll(len(dists))
 		}
 	}
-	keep := wavelet.Keep(dists, fam)
-	if cut, ok := bimodalSplit(dists); ok && alternations(dists, cut) >= 4 {
+	keep := f.wave.Keep(dists)
+	if cut, ok := bimodalCut(f.Sorted()); ok && alternations(dists, cut) >= 4 {
 		// Only an *alternating* bimodal signal means every long
 		// reuse crosses a boundary. A single level shift (one
 		// contiguous upper block) is an abrupt change whose jump
@@ -83,6 +99,25 @@ func FilterSubTrace(dists []float64, fam wavelet.Family, keepIrregular bool) []b
 	return keep
 }
 
+// Sorted returns the last filtered window in ascending order, sorting
+// it on the first call after Filter. The result is owned by the filter.
+func (f *SubTraceFilter) Sorted() []float64 {
+	if !f.isSorted {
+		f.sorted = append(f.sorted[:0], f.dists...)
+		slices.Sort(f.sorted)
+		f.isSorted = true
+	}
+	return f.sorted
+}
+
+func (f *SubTraceFilter) keepAll(n int) []bool {
+	f.all = f.all[:0]
+	for range n {
+		f.all = append(f.all, true)
+	}
+	return f.all
+}
+
 // alternations counts how many times the signal crosses the mode
 // threshold between consecutive samples.
 func alternations(vals []float64, cut float64) int {
@@ -95,18 +130,13 @@ func alternations(vals []float64, cut float64) int {
 	return n
 }
 
-// bimodalSplit finds a two-mode split of positive values: the largest
-// gap between consecutive sorted values in log space. It returns the
-// smallest upper-mode value and true when the modes are well separated
-// (upper mean at least 8× lower mean and at least a 4× jump at the
-// gap).
-func bimodalSplit(vals []float64) (float64, bool) {
-	if len(vals) < 4 {
-		return 0, false
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	if sorted[0] <= 0 {
+// bimodalCut finds a two-mode split of positive values given in
+// ascending order: the largest gap between consecutive values in log
+// space. It returns the smallest upper-mode value and true when the
+// modes are well separated (upper mean at least 8× lower mean and at
+// least a 4× jump at the gap).
+func bimodalCut(sorted []float64) (float64, bool) {
+	if len(sorted) < 4 || sorted[0] <= 0 {
 		return 0, false
 	}
 	// Largest multiplicative gap.
@@ -186,6 +216,7 @@ func FilterSamplesIrregular(res sampling.Result, fam wavelet.Family, minSubTrace
 
 func filterSamples(res sampling.Result, fam wavelet.Family, minSubTrace int, keepIrregular bool) []int {
 	var filtered []int
+	f := NewSubTraceFilter(fam, keepIrregular)
 	for _, sub := range res.SubTraces() {
 		if len(sub) < minSubTrace {
 			continue
@@ -194,7 +225,7 @@ func filterSamples(res sampling.Result, fam wavelet.Family, minSubTrace int, kee
 		for i, si := range sub {
 			signal[i] = float64(res.Samples[si].Dist)
 		}
-		for i, k := range filterSubTrace(signal, fam, keepIrregular) {
+		for i, k := range f.Filter(signal) {
 			if k {
 				filtered = append(filtered, sub[i])
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"lpp/internal/sampling"
@@ -8,9 +9,17 @@ import (
 	"lpp/internal/wavelet"
 )
 
+// sortedCut runs the bimodal rule on a sorted copy of vals, as Filter
+// does through Sorted.
+func sortedCut(vals []float64) (float64, bool) {
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	return bimodalCut(sorted)
+}
+
 func TestBimodalSplitSeparatesModes(t *testing.T) {
 	vals := []float64{300, 280, 9000, 310, 15000, 290, 8700}
-	cut, ok := bimodalSplit(vals)
+	cut, ok := sortedCut(vals)
 	if !ok {
 		t.Fatal("clear bimodal signal not split")
 	}
@@ -20,7 +29,7 @@ func TestBimodalSplitSeparatesModes(t *testing.T) {
 }
 
 func TestBimodalSplitRejectsUnimodal(t *testing.T) {
-	if _, ok := bimodalSplit([]float64{100, 110, 105, 98, 102, 104}); ok {
+	if _, ok := sortedCut([]float64{100, 110, 105, 98, 102, 104}); ok {
 		t.Error("unimodal signal should not split")
 	}
 	// A smooth geometric ramp has gaps but no dominant one.
@@ -30,16 +39,16 @@ func TestBimodalSplitRejectsUnimodal(t *testing.T) {
 		ramp[i] = v
 		v *= 1.3
 	}
-	if _, ok := bimodalSplit(ramp); ok {
+	if _, ok := sortedCut(ramp); ok {
 		t.Error("smooth ramp should not split")
 	}
 }
 
 func TestBimodalSplitEdgeCases(t *testing.T) {
-	if _, ok := bimodalSplit([]float64{1, 1000}); ok {
+	if _, ok := sortedCut([]float64{1, 1000}); ok {
 		t.Error("too few values should not split")
 	}
-	if _, ok := bimodalSplit([]float64{0, 1, 2, 3, 4}); ok {
+	if _, ok := sortedCut([]float64{0, 1, 2, 3, 4}); ok {
 		t.Error("non-positive values should not split")
 	}
 }
@@ -50,7 +59,7 @@ func TestFilterSubTraceTomcatvShape(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		sig = append(sig, 8642, 276, 14995, 8467, 364)
 	}
-	keep := filterSubTrace(sig, wavelet.Daubechies6, false)
+	keep := FilterSubTrace(sig, wavelet.Daubechies6, false)
 	for i, k := range keep {
 		long := sig[i] > 1000
 		if long && !k {
@@ -73,7 +82,7 @@ func TestFilterSubTraceMolDynShape(t *testing.T) {
 		}
 		sig = append(sig, v)
 	}
-	keep := filterSubTrace(sig, wavelet.Daubechies6, false)
+	keep := FilterSubTrace(sig, wavelet.Daubechies6, false)
 	kept := 0
 	for i, k := range keep {
 		if !k {

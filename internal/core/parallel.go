@@ -112,6 +112,7 @@ func filterSamplesWorkers(res sampling.Result, fam wavelet.Family, minSubTrace i
 		go func() {
 			defer wg.Done()
 			signal := make([]float64, 0, 64)
+			filter := NewSubTraceFilter(fam, keepIrregular)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(subs) {
@@ -125,7 +126,7 @@ func filterSamplesWorkers(res sampling.Result, fam wavelet.Family, minSubTrace i
 				for _, si := range sub {
 					signal = append(signal, float64(res.Samples[si].Dist))
 				}
-				for j, k := range filterSubTrace(signal, fam, keepIrregular) {
+				for j, k := range filter.Filter(signal) {
 					if k {
 						kept[i] = append(kept[i], sub[j])
 					}

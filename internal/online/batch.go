@@ -21,15 +21,16 @@ import (
 // eviction sweep of the index) allocate nothing in the steady state,
 // and neither does the sampler's datum lookup, a probe of the same
 // kind of index — TestAccessBatchHotPathZeroAllocs and
-// reuse.TestApproxAccessEvictZeroAllocs pin that. The sampling and
-// boundary half does allocate, per sample or per boundary rather than
-// per event: recordSample grows the per-datum sample windows, each
-// sample decision's core.FilterSubTrace and wavelet transform build
-// their own slices, and each boundary recompiles the phase grammar
-// into the next-phase automaton (hierarchy.predictNext), which on the
-// fft trace of BenchmarkAccessColumns is ~3/4 of all allocations.
-// TestAccessBatchAmortizedAllocs bounds that cost per event on a real
-// trace.
+// reuse.TestApproxAccessEvictZeroAllocs pin that. Sample decisions
+// allocate nothing either once warm: the detector's one
+// core.SubTraceFilter reuses its buffers (TestSubTraceFilterZeroAllocs).
+// What remains allocates per datum or per boundary rather than per
+// event: recordSample grows new datums' windows, and a boundary
+// snapshots the grammar, partitions the window and opens a segment
+// signature; the hierarchy memo compiles only structure it has not
+// seen. On the fft trace of BenchmarkAccessColumns that is ~250
+// allocations per 8K-event chunk; TestAccessBatchAmortizedAllocs
+// bounds it per event on a real trace.
 func (d *Detector) AccessBatch(events []trace.Event) {
 	i := 0
 	for i < len(events) {

@@ -17,8 +17,10 @@
 //     filtered samples, emitting only boundaries outside an unstable
 //     margin near the window's leading edge;
 //   - the phase hierarchy is fed incrementally into a SEQUITUR
-//     grammar, recompiled to an automaton at each boundary to predict
-//     the next phase.
+//     grammar; at each boundary its next-phase automaton comes from a
+//     bounded per-session memo (regexphase.Memo) that compiles only
+//     hierarchy structure it has not seen, and the recent phase tail
+//     walks it to predict the next phase.
 //
 // Every structure has a configurable cap, and under load the detector
 // degrades by sampling (raising its analysis stride) instead of

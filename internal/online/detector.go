@@ -97,6 +97,13 @@ type Detector struct {
 	// Phase identity + hierarchy (hierarchy.go).
 	hier *hierarchy
 
+	// filter is the shared sub-trace filter; mask is its verdict on
+	// maskFor's current window, reused by every decision on that
+	// window until the window changes (recordSample clears maskFor).
+	filter  *core.SubTraceFilter
+	mask    []bool
+	maskFor *datum
+
 	// Output.
 	events        []phase.Event
 	boundaries    int64
@@ -124,6 +131,7 @@ func NewDetector(cfg Config) *Detector {
 		dataIDs:  newDataIndex(cfg),
 		stride:   1,
 		hier:     newHierarchy(cfg),
+		filter:   core.NewSubTraceFilter(cfg.Wavelet, cfg.KeepIrregular),
 	}
 }
 
@@ -217,6 +225,9 @@ func (d *Detector) recordSample(id int, t, dist int64) {
 	}
 	dt.times = append(dt.times, t)
 	dt.dists = append(dt.dists, dist2f(dist))
+	if d.maskFor == dt {
+		d.maskFor = nil
+	}
 	if len(dt.times) < d.cfg.MinSubTrace {
 		return
 	}
@@ -285,8 +296,11 @@ func (d *Detector) evictStalest(minAge int64) (int, bool) {
 // data sample; any coarser granule aliases nearby datums into false
 // recurrences and oversegments), phase identity uses 64KB regions.
 func (d *Detector) decide(dt *datum, i int) {
-	if !core.FilterSubTrace(dt.dists, d.cfg.Wavelet, d.cfg.KeepIrregular)[i] &&
-		!spikeOverFlat(dt.dists, i) {
+	if d.maskFor != dt {
+		d.mask = d.filter.Filter(dt.dists)
+		d.maskFor = dt
+	}
+	if !d.mask[i] && !spikeOverFlat(d.filter, dt.dists, i) {
 		return
 	}
 	d.filtered++
@@ -541,12 +555,12 @@ func (d *Detector) removeSorted(addr trace.Addr) {
 // alternate, and it inflates the whole window's variation. Keep sample
 // i when it is such a spike (>= 8x the window median, the offline
 // bimodal separation) or part of a flat remainder under the spike.
-func spikeOverFlat(dists []float64, i int) bool {
+// The window median comes from f, which last filtered dists.
+func spikeOverFlat(f *core.SubTraceFilter, dists []float64, i int) bool {
 	if len(dists) < 4 {
 		return false
 	}
-	sorted := append([]float64(nil), dists...)
-	sort.Float64s(sorted)
+	sorted := f.Sorted()
 	med := sorted[len(sorted)/2]
 	if med <= 0 {
 		return false

@@ -97,11 +97,15 @@ func (d *Detector) flushBoundaries(final bool) {
 // the same phase when the sets of 64KB pages they touch overlap (the
 // paper's observation that each phase is marked by accesses to its own
 // group of data). The phase-ID sequence feeds a SEQUITUR builder — the
-// algorithm is already incremental — and at each boundary the grammar
-// recompiles into the next-phase automaton of Section 2.4.
+// algorithm is already incremental — and at each boundary the grammar's
+// hierarchy yields the next-phase automaton of Section 2.4 through a
+// memo (see predictNext).
 type hierarchy struct {
 	cfg     Config
 	builder *sequitur.Builder
+	// memo caches hierarchy sub-expressions, Equivalent verdicts and
+	// automata across boundaries (derived state: not in snapshots).
+	memo *regexphase.Memo
 	// grammarSize is refreshed at each boundary (gauge + restart cap).
 	grammarSize int
 	// tail holds the most recent phase IDs: the automaton's walk
@@ -122,8 +126,21 @@ func newHierarchy(cfg Config) *hierarchy {
 	return &hierarchy{
 		cfg:     cfg,
 		builder: sequitur.NewBuilder(),
+		memo:    newHierarchyMemo(cfg),
 		curSeg:  make(map[int]struct{}),
 	}
+}
+
+// newHierarchyMemo returns an empty hierarchy memo bounded in
+// proportion to the grammar cap: 64 units (node children, DFA
+// transition slots or verdicts) per grammar symbol. The units leave
+// out map keys, expression boxing and DFA symbol indexes; measured on
+// a stream that never repeats (uniformly random over MaxPhases = 64
+// phases, 4,400 boundaries at the default cap, one grammar restart),
+// the memo held at most 2.1 MB of heap. The Train workloads peak below
+// 7,000 units.
+func newHierarchyMemo(cfg Config) *regexphase.Memo {
+	return regexphase.NewMemo(64 * cfg.MaxGrammar)
 }
 
 // retire folds one filtered sample's page (64KB identity granule) into
@@ -145,6 +162,14 @@ func (h *hierarchy) retire(page int) {
 // restarts the grammar from the tail if it outgrew its cap.
 func (h *hierarchy) closeSegment() int {
 	id := h.identify()
+	h.record(id)
+	h.curSeg = make(map[int]struct{})
+	return id
+}
+
+// record appends a phase ID to the grammar and the tail, restarting
+// the grammar from the tail when it outgrows MaxGrammar.
+func (h *hierarchy) record(id int) {
 	h.builder.Append(id)
 	if len(h.tail) == h.cfg.PhaseTail {
 		copy(h.tail, h.tail[1:])
@@ -161,8 +186,6 @@ func (h *hierarchy) closeSegment() int {
 		}
 		h.grammarSize = h.builder.Size()
 	}
-	h.curSeg = make(map[int]struct{})
-	return id
 }
 
 // identify matches the open segment's page set against known phases
@@ -221,14 +244,17 @@ func (h *hierarchy) largestSignature() int {
 	return max
 }
 
-// predictNext recompiles the grammar into the next-phase automaton and
+// predictNext turns the grammar into the next-phase automaton and
 // walks the recent phase tail; a uniquely determined next transition is
-// a prediction.
+// a prediction. The grammar gains a symbol at every boundary, but its
+// hierarchy mostly recurs, so the conversion goes through the memo:
+// rules whose structure is cached cost a lookup, Equivalent verdicts
+// and DFAs are reused, and a hierarchy seen before reuses its
+// minimized automaton outright. The memo is bounded (newHierarchyMemo)
+// and not part of the snapshot: a restored session rebuilds it cold,
+// with the same predictions.
 func (h *hierarchy) predictNext() (int, bool) {
-	expr := regexphase.FromGrammar(h.builder.Grammar())
-	np := predictor.NewNextPhase(expr)
-	for _, p := range h.tail {
-		np.Observe(p)
-	}
+	np := predictor.NewNextPhaseDFA(h.memo.Automaton(h.builder.Grammar()))
+	np.Walk(h.tail)
 	return np.Predict()
 }

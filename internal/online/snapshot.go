@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 
+	"lpp/internal/core"
 	"lpp/internal/phase"
 	"lpp/internal/reuse"
 	"lpp/internal/sequitur"
@@ -365,7 +366,7 @@ func (d *Detector) Restore(data []byte) error {
 	}
 
 	dec := &snapDec{buf: body, off: header}
-	nd := &Detector{cfg: d.cfg}
+	nd := &Detector{cfg: d.cfg, filter: core.NewSubTraceFilter(d.cfg.Wavelet, d.cfg.KeepIrregular)}
 
 	nd.now = dec.i64()
 	nd.blocks = dec.i64()
@@ -505,7 +506,7 @@ func (d *Detector) Restore(data []byte) error {
 	}
 
 	// Hierarchy.
-	h := &hierarchy{cfg: nd.cfg, curSeg: make(map[int]struct{})}
+	h := &hierarchy{cfg: nd.cfg, memo: newHierarchyMemo(nd.cfg), curSeg: make(map[int]struct{})}
 	n = dec.length(1)
 	h.tail = make([]int, 0, n)
 	for i := 0; i < n && dec.err == nil; i++ {

@@ -19,7 +19,15 @@ type NextPhase struct {
 
 // NewNextPhase compiles the hierarchy into a predictor automaton.
 func NewNextPhase(h regexphase.Expr) *NextPhase {
-	d := regexphase.Minimize(regexphase.Compile(h))
+	return NewNextPhaseDFA(regexphase.Minimize(regexphase.Compile(h)))
+}
+
+// NewNextPhaseDFA returns a predictor walking an already compiled
+// hierarchy automaton (regexphase.Memo.Automaton). Stepping the
+// automaton builds its symbol index lazily, so a DFA shared between
+// predictors must stay with one goroutine: the online detector's memo
+// and its predictors all belong to one session.
+func NewNextPhaseDFA(d *regexphase.DFA) *NextPhase {
 	return &NextPhase{dfa: d, state: d.Start}
 }
 
@@ -52,6 +60,19 @@ func (n *NextPhase) Observe(phase int) {
 			n.correct++
 		}
 	}
+	n.advance(phase)
+}
+
+// Walk advances the automaton through phases as Observe would, without
+// scoring predictions: it positions a fresh predictor on a known phase
+// history.
+func (n *NextPhase) Walk(phases []int) {
+	for _, p := range phases {
+		n.advance(p)
+	}
+}
+
+func (n *NextPhase) advance(phase int) {
 	if n.state >= 0 {
 		n.state = n.dfa.Step(n.state, phase)
 	}

@@ -8,28 +8,10 @@ import "lpp/internal/sequitur"
 // (memoized), and adjacent equivalent sub-expressions on a right-hand
 // side are merged into repetitions, so "R R" where R derives one time
 // step becomes "(time step)+" — the composite phase of the largest
-// granularity.
+// granularity. It is Memo.FromGrammar on a fresh memo; a caller that
+// rebuilds the hierarchy of a growing grammar keeps one Memo instead.
 func FromGrammar(g sequitur.Grammar) Expr {
-	memo := make(map[int]Expr, len(g.Rules))
-	var convert func(id int) Expr
-	convert = func(id int) Expr {
-		if e, ok := memo[id]; ok {
-			return e
-		}
-		rhs := g.Rules[id]
-		parts := make([]Expr, 0, len(rhs))
-		for _, s := range rhs {
-			if s.Terminal {
-				parts = append(parts, Lit{s.Value})
-			} else {
-				parts = append(parts, convert(s.Value))
-			}
-		}
-		e := MergeAdjacent(parts)
-		memo[id] = e
-		return e
-	}
-	return convert(0)
+	return NewMemo(0).FromGrammar(g)
 }
 
 // BuildHierarchy compresses the phase-ID sequence with SEQUITUR and
@@ -42,40 +24,10 @@ func BuildHierarchy(phases []int) Expr {
 // repetitions. Because the number of repetitions scales with the
 // program input (a prediction run executes far more time steps than
 // the detection run), a merged run is represented as "one or more"
-// rather than a fixed count. A single part is returned unwrapped.
+// rather than a fixed count: X X, X+ X, X X+, and X+ X+ all become X+.
+// A single part is returned unwrapped.
 func MergeAdjacent(parts []Expr) Expr {
-	var out []Expr
-	for _, e := range parts {
-		if len(out) > 0 {
-			if merged, ok := mergeTwo(out[len(out)-1], e); ok {
-				out[len(out)-1] = merged
-				continue
-			}
-		}
-		out = append(out, e)
-	}
-	if len(out) == 1 {
-		return out[0]
-	}
-	return Concat{out}
-}
-
-// mergeTwo merges two adjacent expressions when they repeat the same
-// body: X X, X+ X, X X+, and X+ X+ all become X+.
-func mergeTwo(a, b Expr) (Expr, bool) {
-	base := body(a)
-	if !Equivalent(base, body(b)) {
-		return nil, false
-	}
-	return Repeat{E: base, Min: 1}, true
-}
-
-// body strips one level of repetition: the body of X+ or X* is X.
-func body(e Expr) Expr {
-	if r, ok := e.(Repeat); ok {
-		return r.E
-	}
-	return e
+	return NewMemo(0).MergeAdjacent(parts)
 }
 
 // Leaves returns the distinct leaf phase IDs of the hierarchy, sorted.

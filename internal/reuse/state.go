@@ -3,7 +3,6 @@ package reuse
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"lpp/internal/trace"
 )
@@ -26,9 +25,9 @@ type ApproxState struct {
 	BucketCounts []int64
 }
 
-// State snapshots the analyzer. The addresses are collected in one
-// sweep of the index and sorted, so the result does not depend on the
-// index's slot order; each time is then one index lookup.
+// State snapshots the analyzer. The (address, time) pairs are
+// collected in one sweep of the index and ordered by address with
+// sortByAddr, so the result does not depend on the index's slot order.
 func (a *ApproxAnalyzer) State() ApproxState {
 	n := a.last.Len()
 	st := ApproxState{
@@ -36,22 +35,68 @@ func (a *ApproxAnalyzer) State() ApproxState {
 		Now:          a.now,
 		Live:         a.live,
 		Addrs:        make([]trace.Addr, 0, n),
-		Times:        make([]int64, n),
+		Times:        make([]int64, 0, n),
 		BucketTimes:  make([]int64, 0, len(a.buckets)),
 		BucketCounts: make([]int64, 0, len(a.buckets)),
 	}
-	a.last.Range(func(addr trace.Addr, _ *int64) {
+	a.last.Range(func(addr trace.Addr, t *int64) {
 		st.Addrs = append(st.Addrs, addr)
+		st.Times = append(st.Times, *t)
 	})
-	slices.Sort(st.Addrs)
-	for i, addr := range st.Addrs {
-		st.Times[i], _ = a.last.Get(addr)
-	}
+	st.Addrs, st.Times = sortByAddr(st.Addrs, st.Times)
 	for _, b := range a.buckets {
 		st.BucketTimes = append(st.BucketTimes, b.maxTime)
 		st.BucketCounts = append(st.BucketCounts, b.count)
 	}
 	return st
+}
+
+// sortByAddr orders parallel (address, time) slices by address with an
+// LSD radix sort: one counting pass per byte position, skipping every
+// position where all addresses have the same byte — a program's
+// addresses share their high bytes, so a 64-bit key usually takes
+// three or four passes instead of eight. The sort is stable, so the
+// order is the one a comparison sort gives (addresses from an index
+// are distinct anyway). It returns the sorted pairs, which may live in
+// fresh buffers instead of the arguments.
+func sortByAddr(addrs []trace.Addr, times []int64) ([]trace.Addr, []int64) {
+	and, or := ^trace.Addr(0), trace.Addr(0)
+	for _, a := range addrs {
+		and &= a
+		or |= a
+	}
+	varying := and ^ or
+	var (
+		toAddrs []trace.Addr
+		toTimes []int64
+	)
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (varying>>shift)&0xff == 0 {
+			continue
+		}
+		if toAddrs == nil {
+			toAddrs = make([]trace.Addr, len(addrs))
+			toTimes = make([]int64, len(times))
+		}
+		var start [256]int
+		for _, a := range addrs {
+			start[(a>>shift)&0xff]++
+		}
+		sum := 0
+		for b, c := range start {
+			start[b] = sum
+			sum += c
+		}
+		for i, a := range addrs {
+			b := (a >> shift) & 0xff
+			toAddrs[start[b]] = a
+			toTimes[start[b]] = times[i]
+			start[b]++
+		}
+		addrs, toAddrs = toAddrs, addrs
+		times, toTimes = toTimes, times
+	}
+	return addrs, times
 }
 
 var errApproxState = errors.New("reuse: invalid analyzer state")

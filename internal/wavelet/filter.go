@@ -39,9 +39,13 @@ func LevelK(x []float64, f Family, level int) []float64 {
 // convolveSpaced applies filter taps spaced `spacing` apart with
 // symmetric extension, centering the filter on each sample.
 func convolveSpaced(x, filt []float64, spacing int) []float64 {
+	return convolveInto(make([]float64, len(x)), x, filt, spacing)
+}
+
+// convolveInto is convolveSpaced writing into out (len(out) == len(x)).
+func convolveInto(out, x, filt []float64, spacing int) []float64 {
 	n := len(x)
 	off := (len(filt) / 2) * spacing
-	out := make([]float64, n)
 	for i := 0; i < n; i++ {
 		var v float64
 		for k := range filt {
@@ -77,37 +81,70 @@ func reflect(i, n int) int {
 // changes survive. Signals shorter than 3 samples produce no keeps (no
 // statistics to compare against).
 func Keep(x []float64, f Family) []bool {
-	return KeepLevel(x, f, 1)
+	return NewKeeper(f).Keep(x)
 }
 
 // KeepLevel is Keep using the level-k coefficients.
 func KeepLevel(x []float64, f Family, level int) []bool {
+	if level <= 1 {
+		return Keep(x, f)
+	}
 	kept := make([]bool, len(x))
 	if len(x) < 3 {
 		return kept
 	}
-	coefs := LevelK(x, f, level)
-	mags := make([]float64, len(coefs))
+	markAbrupt(kept, LevelK(x, f, level))
+	return kept
+}
+
+// Keeper is Keep with reusable state: it derives the family's wavelet
+// taps once and keeps its coefficient and result buffers, so filtering
+// many short windows allocates nothing once the buffers have grown to
+// the longest window.
+type Keeper struct {
+	g     []float64
+	coefs []float64
+	kept  []bool
+}
+
+// NewKeeper returns a Keeper for the family.
+func NewKeeper(f Family) *Keeper { return &Keeper{g: f.Wavelet()} }
+
+// Keep returns Keep(x, f). The result is owned by the Keeper and valid
+// until the next call.
+func (k *Keeper) Keep(x []float64) []bool {
+	n := len(x)
+	k.kept = append(k.kept[:0], make([]bool, n)...)
+	if n < 3 {
+		return k.kept
+	}
+	k.coefs = append(k.coefs[:0], make([]float64, n)...)
+	markAbrupt(k.kept, convolveInto(k.coefs, x, k.g, 1))
+	return k.kept
+}
+
+// markAbrupt applies the m + 3δ rule to the coefficients, setting
+// kept[i] for each one whose magnitude passes. It overwrites coefs
+// with their magnitudes.
+func markAbrupt(kept []bool, coefs []float64) {
 	for i, c := range coefs {
 		if c < 0 {
-			c = -c
+			coefs[i] = -c
 		}
-		mags[i] = c
 	}
-	m := stats.Mean(mags)
-	d := stats.StdDev(mags)
+	m := stats.Mean(coefs)
+	d := stats.StdDev(coefs)
 	threshold := m + 3*d
 	if d == 0 {
 		// A perfectly uniform coefficient field has no abrupt
 		// change at all.
-		return kept
+		return
 	}
-	for i, mag := range mags {
+	for i, mag := range coefs {
 		if mag > threshold {
 			kept[i] = true
 		}
 	}
-	return kept
 }
 
 // KeptIndices returns the indices for which Keep is true.
