@@ -44,8 +44,8 @@ type clusterReport struct {
 	RoutedEventsPerS float64        `json:"routed_events_per_sec"`
 
 	// The node kill: how many sessions lost their home and how much
-	// tail the clients replayed through the router to land them on the
-	// fallback owners.
+	// tail — past the last replicated checkpoint — the clients replayed
+	// through the router to land them on the fallback owners.
 	KillRound        int     `json:"kill_round"`
 	ReroutedSessions int     `json:"rerouted_sessions"`
 	ReplayedChunks   int     `json:"replayed_chunks"`
@@ -69,9 +69,11 @@ type clusterReport struct {
 // latencies there are upper bounds.
 func clusterNote(numCPU int) string {
 	note := "Node death is simulated with the in-process Kill() — the SIGKILL " +
-		"equivalent: no drain, no final checkpoint; the clients replay the dead " +
-		"node's sessions onto their fallback owners through the router, riding " +
-		"409 X-Lpp-Want-Seq rewinds."
+		"equivalent: no drain, no final checkpoint, replication queues abandoned. " +
+		"Each node replicates checkpoints (every 2 chunks) asynchronously to its " +
+		"sessions' ring successors, which are the router's fallback owners: they " +
+		"adopt the last replicated image, and the clients replay only the tail " +
+		"past it through the router, riding 409 X-Lpp-Want-Seq rewinds."
 	if numCPU == 1 {
 		note = "single-CPU runner: all three nodes, the router, and the client " +
 			"share one core, so cross-node latencies and the migration pause are " +
@@ -83,11 +85,7 @@ func clusterNote(numCPU int) string {
 // startNode brings up one in-process lppserve node on a real loopback
 // listener, advertising its real URL, and returns the server, its base
 // URL, and a shutdown func.
-func startNode(cfg server.Config) (*server.Server, string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", nil, err
-	}
+func startNode(ln net.Listener, cfg server.Config) (*server.Server, string, func(), error) {
 	base := "http://" + ln.Addr().String()
 	cfg.Advertise = base
 	srv, err := server.New(cfg)
@@ -117,8 +115,9 @@ type clusterSession struct {
 // runCluster measures a routed 3-node cluster under chaos: 12 sessions
 // stream through the router, placement balance and cross-node ingest
 // latency are sampled, then one node is killed mid-ingest (its
-// sessions fail over to their ring successors via 409 rewinds) and one
-// session is live-migrated under load. The run verifies — against
+// sessions fail over to their ring successors, which adopt the last
+// replicated checkpoint, via 409 rewinds) and one session is
+// live-migrated under load. The run verifies — against
 // uninterrupted single-node runs of the same streams — that every
 // acknowledged response and every close summary is byte-identical,
 // then writes BENCH_cluster.json.
@@ -157,9 +156,24 @@ func runCluster(stdout io.Writer, outDir string, perSession, chunkLen int) error
 		return fmt.Errorf("-cluster needs at least 6 chunks per session (got %d); lower -chunk or raise -events", maxChunks)
 	}
 
+	// Listeners first, so the cluster's ring knows every member's URL;
+	// the last one serves the reference run.
+	lns := make([]net.Listener, nNodes+1)
+	bases := make([]string, nNodes)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return err
+		}
+		lns[i] = ln
+		if i < nNodes {
+			bases[i] = "http://" + ln.Addr().String()
+		}
+	}
+
 	// Reference: every stream against one uninterrupted node.
 	{
-		_, base, stop, err := startNode(server.Config{})
+		_, base, stop, err := startNode(lns[nNodes], server.Config{})
 		if err != nil {
 			return err
 		}
@@ -187,31 +201,36 @@ func runCluster(stdout io.Writer, outDir string, perSession, chunkLen int) error
 		stop()
 	}
 
-	// The routed cluster: three durable nodes behind one router.
+	// The routed cluster: three durable nodes behind one router, each
+	// replicating to its sessions' ring successors.
 	type node struct {
 		srv  *server.Server
 		base string
 		stop func()
 	}
+	ring, err := cluster.New(bases, 0)
+	if err != nil {
+		return err
+	}
 	nodes := make([]node, nNodes)
-	bases := make([]string, nNodes)
 	for i := range nodes {
 		dir, err := os.MkdirTemp("", "lppbench-cluster-")
 		if err != nil {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		srv, base, stop, err := startNode(server.Config{DataDir: dir, CheckpointEvery: 4})
+		self := bases[i]
+		srv, base, stop, err := startNode(lns[i], server.Config{
+			DataDir: dir, CheckpointEvery: 2,
+			Successor: func(id string) string {
+				return ring.OwnerWith(id, func(n string) bool { return n != self })
+			},
+		})
 		if err != nil {
 			return err
 		}
 		defer stop()
 		nodes[i] = node{srv: srv, base: base, stop: stop}
-		bases[i] = base
-	}
-	ring, err := cluster.New(bases, 0)
-	if err != nil {
-		return err
 	}
 	health := cluster.NewHealth(bases, nil, 50*time.Millisecond)
 	defer health.Close()
@@ -272,8 +291,11 @@ func runCluster(stdout io.Writer, outDir string, perSession, chunkLen int) error
 		if round == killRound && !killed {
 			for i := range nodes {
 				if nodes[i].base == victim {
-					nodes[i].stop()
+					// Kill before stop: a Close first would checkpoint
+					// and replicate every session — a drain, not a
+					// crash. After Kill, stop only closes the listener.
 					nodes[i].srv.Kill()
+					nodes[i].stop()
 				}
 			}
 			killed = true

@@ -28,15 +28,6 @@
 // every closing session contributes its learned phase behavior back.
 // The store survives restarts (and crashes) byte-identically.
 //
-// With -peer, every session checkpoint (and knowledge snapshot)
-// streams asynchronously to a second lppserve started with -standby;
-// if this node dies, promote the standby (SIGUSR1 or
-// POST /v1/replica/promote) and point clients at it — their
-// seq-numbered retry loop replays the tail past the last replicated
-// checkpoint, losing zero acknowledged events. GET /readyz
-// distinguishes a serving node (200) from one that is a standby,
-// recovering, or draining (503); /healthz stays a pure liveness probe.
-//
 // With -router, the process serves no sessions itself: it fronts the
 // static membership given by -nodes as a consistent-hash cluster
 // router. Each member runs a normal lppserve with -advertise set to
@@ -48,28 +39,35 @@
 // drains a session to another member; GET /v1/cluster/status shows
 // membership and liveness.
 //
+// A member given the router's -nodes (and -vnodes) plus -advertise and
+// -data replicates: every session checkpoint (and knowledge snapshot)
+// streams to the session's ring successor, the member the router walks
+// to if this one dies. That member adopts the newest image it holds,
+// and the client's seq-numbered retry loop replays only the tail past
+// it, losing zero acknowledged events. GET /readyz tells a serving
+// node (200) from one that is recovering or draining (503); /healthz
+// stays a pure liveness probe.
+//
 // Usage:
 //
 //	lppserve [-addr :8080] [-queue 8] [-shards 16] [-max-sessions 256]
 //	         [-max-chunk 8388608] [-data DIR] [-sync] [-checkpoint-every 64]
 //	         [-idle-timeout 0] [-drain 10s] [-consumers predictor:strict,cacheresize]
 //	         [-knowledge FILE] [-knowledge-cap 1024] [-knowledge-threshold 0.70]
-//	         [-peer URL] [-replica-queue 64] [-standby] [-promote]
-//	         [-advertise URL]
+//	         [-advertise URL [-nodes URL,URL,URL [-vnodes 128] [-replica-queue 64]]]
 //	lppserve -router -nodes URL,URL,URL [-addr :8090] [-vnodes 128]
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -82,15 +80,16 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], nil); err != nil {
+	if err := run(os.Args[1:], nil, nil); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // run is main minus the process exit, so tests can drive a full
 // serve-and-drain cycle in-process. If ready is non-nil it receives
-// the bound listen address once the server is accepting connections.
-func run(args []string, ready chan<- string) error {
+// the bound listen address once the server is accepting connections;
+// closing quit drains this instance alone, as SIGTERM drains them all.
+func run(args []string, ready chan<- string, quit <-chan struct{}) error {
 	fs := flag.NewFlagSet("lppserve", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
@@ -112,14 +111,11 @@ func run(args []string, ready chan<- string) error {
 		knowledgeCap       = fs.Int("knowledge-cap", 0, "max stored programs before LRU/score eviction (0 = default 1024)")
 		knowledgeThreshold = fs.Float64("knowledge-threshold", 0, "minimum match score for a warm start (0 = default 0.70)")
 
-		peer         = fs.String("peer", "", "base URL of a standby replica to stream checkpoints to (needs -data)")
-		replicaQueue = fs.Int("replica-queue", 0, "replication queue depth; overflow drops oldest and resyncs (0 = default 64)")
-		standby      = fs.Bool("standby", false, "start as a replication target: refuse ingest until promoted (needs -data)")
-		promote      = fs.Bool("promote", false, "promote the standby already running at -addr, then exit")
+		replicaQueue = fs.Int("replica-queue", 0, "replication queue depth per successor; overflow drops oldest and resyncs (0 = default 64)")
 
 		advertise = fs.String("advertise", "", "this node's base URL as other cluster members (and the router) reach it; labels session ownership")
 		routerOn  = fs.Bool("router", false, "serve as the cluster router for the members in -nodes instead of serving sessions")
-		nodes     = fs.String("nodes", "", "comma-separated member base URLs of the routed cluster (with -router)")
+		nodes     = fs.String("nodes", "", "comma-separated member base URLs of the routed cluster (the router's ring; on a member, turns on replication to ring successors)")
 		vnodes    = fs.Int("vnodes", 0, "virtual nodes per member on the consistent-hash ring (0 = default 128)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -128,14 +124,22 @@ func run(args []string, ready chan<- string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if *promote {
-		return promoteRunning(*addr)
-	}
 	if *routerOn {
-		return runRouter(*addr, *nodes, *vnodes, *drain, ready)
+		return runRouter(*addr, *nodes, *vnodes, *drain, ready, quit)
 	}
+	var successor func(id string) string
 	if *nodes != "" {
-		return fmt.Errorf("-nodes only applies with -router; members take -advertise instead")
+		ring, err := memberRing(*nodes, *vnodes)
+		if err != nil {
+			return err
+		}
+		self := strings.TrimRight(*advertise, "/")
+		if !slices.Contains(ring.Nodes(), self) {
+			return fmt.Errorf("-nodes on a member needs -advertise naming one of the members")
+		}
+		successor = func(id string) string {
+			return ring.OwnerWith(id, func(n string) bool { return n != self })
+		}
 	}
 	// Validate the consumer spec at startup, not at first session.
 	var consumerFactory func() *phase.Chain
@@ -181,17 +185,14 @@ func run(args []string, ready chan<- string) error {
 		SyncWrites:      *syncWrites,
 		CheckpointEvery: *ckptEvery,
 		IdleTimeout:     *idleTimeout,
-		Peer:            *peer,
+		Successor:       successor,
 		ReplicaQueue:    *replicaQueue,
-		Standby:         *standby,
 		Advertise:       *advertise,
 	})
 	if err != nil {
 		return err
 	}
-	if *standby {
-		log.Printf("standby: accepting replication only; promote with SIGUSR1 or POST /v1/replica/promote")
-	} else if *dataDir != "" {
+	if *dataDir != "" {
 		n, err := srv.RecoverSessions()
 		if err != nil {
 			return fmt.Errorf("recover sessions: %w", err)
@@ -200,70 +201,63 @@ func run(args []string, ready chan<- string) error {
 			log.Printf("recovered %d session(s) from %s", n, *dataDir)
 		}
 	}
-	if *peer != "" && !*standby {
-		log.Printf("replicating checkpoints to %s", *peer)
+	if successor != nil {
+		log.Printf("replicating checkpoints to ring successors among %s", *nodes)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	// Past the drain deadline we exit anyway: the WAL already holds
+	// every accepted chunk, so sessions stay recoverable even without
+	// their final checkpoint.
+	return serve(*addr, srv.Handler(), *drain, ready, quit, func(ctx context.Context) {
+		done := make(chan struct{})
+		go func() { srv.Close(); close(done) }()
+		select {
+		case <-done:
+			log.Print("drained; all sessions checkpointed")
+		case <-ctx.Done():
+			log.Print("drain deadline exceeded; exiting on WAL durability alone")
+		}
+	})
+}
+
+// serve listens on addr and serves h until SIGTERM/SIGINT or quit. It
+// then stops accepting and finishes in-flight requests, and runs finish
+// under the same drain deadline.
+func serve(addr string, h http.Handler, drain time.Duration, ready chan<- string, quit <-chan struct{}, finish func(ctx context.Context)) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: h}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(stop)
-	// SIGUSR1 promotes a standby in place (node-death failover without
-	// an HTTP round trip).
-	usr1 := make(chan os.Signal, 1)
-	signal.Notify(usr1, syscall.SIGUSR1)
-	defer signal.Stop(usr1)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	log.Printf("lppserve listening on %s", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-
-	running := true
-	for running {
-		select {
-		case sig := <-stop:
-			log.Printf("%v: draining (deadline %v)", sig, *drain)
-			running = false
-		case <-usr1:
-			if n, err := srv.Promote(); err != nil {
-				log.Printf("SIGUSR1 promote: %v", err)
-			} else {
-				log.Printf("promoted: %d session(s) recovered; now serving as primary", n)
-			}
-		case err := <-errc:
-			srv.Close()
-			return err
+	select {
+	case sig := <-stop:
+		log.Printf("%v: draining (deadline %v)", sig, drain)
+	case <-quit:
+		log.Printf("quit: draining (deadline %v)", drain)
+	case err = <-errc:
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err == nil {
+		if err := httpSrv.Shutdown(ctx); err != nil {
+			log.Printf("http shutdown: %v", err)
 		}
 	}
-	// Stop accepting and finish in-flight requests, then checkpoint
-	// every session. Past the deadline we exit anyway: the WAL already
-	// holds every accepted chunk, so sessions stay recoverable even
-	// without their final checkpoint.
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-	done := make(chan struct{})
-	go func() { srv.Close(); close(done) }()
-	select {
-	case <-done:
-		log.Print("drained; all sessions checkpointed")
-	case <-ctx.Done():
-		log.Print("drain deadline exceeded; exiting on WAL durability alone")
-	}
-	return nil
+	finish(ctx)
+	return err
 }
 
-// runRouter serves the cluster router: no sessions, no disk — just the
-// ring, the health poller, and the forwarding handler.
-func runRouter(addr, nodeList string, vnodes int, drain time.Duration, ready chan<- string) error {
+// memberRing builds the consistent-hash ring over the -nodes list.
+func memberRing(nodeList string, vnodes int) (*cluster.Ring, error) {
 	var members []string
 	for _, n := range strings.Split(nodeList, ",") {
 		if n = strings.TrimSpace(n); n != "" {
@@ -271,62 +265,21 @@ func runRouter(addr, nodeList string, vnodes int, drain time.Duration, ready cha
 		}
 	}
 	if len(members) == 0 {
-		return fmt.Errorf("-router needs -nodes with at least one member URL")
+		return nil, fmt.Errorf("-nodes needs at least one member URL")
 	}
-	ring, err := cluster.New(members, vnodes)
-	if err != nil {
-		return err
-	}
-	health := cluster.NewHealth(members, nil, 0)
-	defer health.Close()
-	rt := cluster.NewRouter(ring, health, nil)
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: rt}
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(stop)
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	log.Printf("lppserve router on %s fronting %d node(s): %s", ln.Addr(), len(members), strings.Join(members, ", "))
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-	select {
-	case sig := <-stop:
-		log.Printf("%v: draining router (deadline %v)", sig, drain)
-	case err := <-errc:
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-	return nil
+	return cluster.New(members, vnodes)
 }
 
-// promoteRunning asks the standby listening at addr to promote itself,
-// for operators (or scripts) without signal access to the process.
-func promoteRunning(addr string) error {
-	if addr == "" {
-		return fmt.Errorf("-promote needs -addr")
-	}
-	if addr[0] == ':' {
-		addr = "localhost" + addr
-	}
-	resp, err := http.Post("http://"+addr+"/v1/replica/promote", "", nil)
+// runRouter serves the cluster router: no sessions, no disk — just the
+// ring, the health poller, and the forwarding handler.
+func runRouter(addr, nodeList string, vnodes int, drain time.Duration, ready chan<- string, quit <-chan struct{}) error {
+	ring, err := memberRing(nodeList, vnodes)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("promote: %s: %s", resp.Status, bytes.TrimSpace(body))
-	}
-	log.Printf("promoted standby at %s: %s", addr, bytes.TrimSpace(body))
-	return nil
+	members := ring.Nodes()
+	health := cluster.NewHealth(members, nil, 0)
+	defer health.Close()
+	log.Printf("router fronting %d node(s): %s", len(members), strings.Join(members, ", "))
+	return serve(addr, cluster.NewRouter(ring, health, nil), drain, ready, quit, func(context.Context) {})
 }

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -59,7 +61,7 @@ func TestSigtermDrainLeavesSessionsRecoverable(t *testing.T) {
 		ready := make(chan string, 1)
 		errc = make(chan error, 1)
 		go func() {
-			errc <- run([]string{"-addr", "127.0.0.1:0", "-data", dir, "-drain", "10s"}, ready)
+			errc <- run([]string{"-addr", "127.0.0.1:0", "-data", dir, "-drain", "10s"}, ready, nil)
 		}()
 		select {
 		case addr = <-ready:
@@ -126,7 +128,7 @@ func serveArgs(t *testing.T, extra ...string) (string, chan error) {
 	ready := make(chan string, 1)
 	errc := make(chan error, 1)
 	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
-	go func() { errc <- run(args, ready) }()
+	go func() { errc <- run(args, ready, nil) }()
 	select {
 	case addr := <-ready:
 		return addr, errc
@@ -165,7 +167,7 @@ func TestRouterModeFlags(t *testing.T) {
 		// each node a fixed loopback port chosen by a throwaway listener.
 		addr := reserveAddr(t)
 		go func() {
-			errc <- run([]string{"-addr", addr, "-data", dir, "-advertise", "http://" + addr}, ready)
+			errc <- run([]string{"-addr", addr, "-data", dir, "-advertise", "http://" + addr}, ready, nil)
 		}()
 		select {
 		case <-ready:
@@ -181,9 +183,9 @@ func TestRouterModeFlags(t *testing.T) {
 		bases[0]+","+bases[1]+","+bases[2])
 	errcs = append(errcs, errcR)
 
-	// -nodes without -router must be rejected.
-	if err := run([]string{"-nodes", bases[0]}, nil); err == nil {
-		t.Fatal("-nodes without -router accepted")
+	// -nodes on a member without -advertise must be rejected.
+	if err := run([]string{"-nodes", bases[0], "-data", t.TempDir()}, nil, nil); err == nil {
+		t.Fatal("-nodes on a member without -advertise accepted")
 	}
 
 	for seq := uint64(1); seq <= 3; seq++ {
@@ -298,107 +300,137 @@ func postStatus(t *testing.T, addr, path string) (*http.Response, []byte) {
 	return resp, body
 }
 
-// TestStandbyPairFailover drives the full two-node story in-process:
-// a primary replicating to a -standby peer, SIGUSR1 promoting the
-// standby, and the client resuming against it with no acknowledged
-// chunk lost.
-func TestStandbyPairFailover(t *testing.T) {
-	addrB, errcB := serveArgs(t, "-data", t.TempDir(), "-standby")
-	addrA, errcA := serveArgs(t, "-data", t.TempDir(),
-		"-peer", "http://"+addrB, "-checkpoint-every", "2")
+// TestRingPairFailover drives the two-member story in-process: two
+// members started with -nodes/-advertise/-data replicate to each other
+// behind a -router; the session's owner goes down and the client
+// carries on through the router with no acknowledged chunk lost.
+func TestRingPairFailover(t *testing.T) {
+	addrs := []string{reserveAddr(t), reserveAddr(t)}
+	nodes := "http://" + addrs[0] + ",http://" + addrs[1]
+	quits := make(map[string]chan struct{}, 2)
+	errcs := make(map[string]chan error, 3)
+	for _, addr := range addrs {
+		ready := make(chan string, 1)
+		errc := make(chan error, 1)
+		quit := make(chan struct{})
+		args := []string{"-addr", addr, "-data", t.TempDir(), "-advertise", "http://" + addr,
+			"-nodes", nodes, "-checkpoint-every", "2"}
+		go func() { errc <- run(args, ready, quit) }()
+		select {
+		case <-ready:
+		case err := <-errc:
+			t.Fatalf("member exited before ready: %v", err)
+		case <-time.After(10 * time.Second):
+			t.Fatal("member never became ready")
+		}
+		quits["http://"+addr], errcs["http://"+addr] = quit, errc
+	}
+	routerAddr, errcR := serveArgs(t, "-router", "-nodes", nodes)
+	errcs["router"] = errcR
 
-	// Role signals before failover.
-	if resp, body := getStatus(t, addrB, "/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("standby readyz: %d %s", resp.StatusCode, body)
+	// The client's view: every acknowledged response, re-checked on
+	// any replay.
+	send := func(seq uint64) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest("POST",
+			fmt.Sprintf("http://%s/v1/sessions/ha/events?seq=%d", routerAddr, seq),
+			bytes.NewReader(binaryChunk(t, int(seq), 4096)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/x-lpp-trace")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("post seq %d: %v", seq, err)
+		}
+		return resp
 	}
-	if resp, _ := getStatus(t, addrA, "/readyz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("primary readyz: %d", resp.StatusCode)
+	acked := make(map[uint64][]byte)
+	ingest := func(from, to uint64) {
+		t.Helper()
+		for seq := from; seq <= to; {
+			resp := send(seq)
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusConflict {
+				want, err := strconv.ParseUint(resp.Header.Get("X-Lpp-Want-Seq"), 10, 64)
+				if err != nil || want == 0 || want > seq {
+					t.Fatalf("409 without usable X-Lpp-Want-Seq at seq %d: %s", seq, body)
+				}
+				seq = want
+				continue
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("seq %d via router: status %d: %s", seq, resp.StatusCode, body)
+			}
+			if prev, ok := acked[seq]; ok && !bytes.Equal(prev, body) {
+				t.Fatalf("seq %d replayed after failover diverges from its acknowledged response", seq)
+			}
+			acked[seq] = body
+			seq++
+		}
 	}
-	// Standby refuses ingest.
-	if resp := postChunk(t, addrB, "ha", 1, binaryChunk(t, 1, 512)); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("ingest on standby: status %d", resp.StatusCode)
-	}
+	ingest(1, 4)
 
-	for seq := uint64(1); seq <= 4; seq++ {
-		if resp := postChunk(t, addrA, "ha", seq, binaryChunk(t, int(seq), 4096)); resp.StatusCode != http.StatusOK {
-			t.Fatalf("seq %d: status %d", seq, resp.StatusCode)
+	// Find the owner in the merged listing, then take it down.
+	_, listing := getStatus(t, routerAddr, "/v1/sessions")
+	var merged struct {
+		Nodes []struct {
+			Node     string `json:"node"`
+			Sessions []struct {
+				ID string `json:"id"`
+			} `json:"sessions"`
+		} `json:"nodes"`
+	}
+	if err := json.Unmarshal(listing, &merged); err != nil {
+		t.Fatalf("merged listing: %v: %s", err, listing)
+	}
+	owner := ""
+	for _, n := range merged.Nodes {
+		for _, s := range n.Sessions {
+			if s.ID == "ha" {
+				owner = n.Node
+			}
 		}
 	}
-	// Replication is async: poll the standby's inventory until the
-	// seq-4 checkpoint lands.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, body := getStatus(t, addrB, "/v1/replica/status")
-		var st struct {
-			Role     string            `json:"role"`
-			Sessions map[string]uint64 `json:"sessions"`
-		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatalf("replica status: %v: %s", err, body)
-		}
-		if st.Sessions["ha"] == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("checkpoint never replicated: %s", body)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if quits[owner] == nil {
+		t.Fatalf("session ha has no owner in the merged listing: %s", listing)
 	}
+	close(quits[owner])
+	if err := <-errcs[owner]; err != nil {
+		t.Fatalf("owner drain returned error: %v", err)
+	}
+	delete(errcs, owner)
 
-	// Node death + failover: promote the standby with SIGUSR1. (The
-	// signal reaches every in-process instance; the primary logs a
-	// "not a standby" refusal and carries on, which is itself part of
-	// the contract.)
-	if err := syscall.Kill(os.Getpid(), syscall.SIGUSR1); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		if resp, _ := getStatus(t, addrB, "/readyz"); resp.StatusCode == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("standby never became ready after SIGUSR1")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// The promoted node holds the session at its last checkpoint; the
-	// client continues there (a real client would ride X-Lpp-Want-Seq —
-	// here the checkpoint covered seq 4, so seq 5 applies directly).
-	resp, body := getStatus(t, addrB, "/v1/sessions/ha/stats")
+	// The survivor adopts the replicated image; the client continues.
+	ingest(5, 8)
+	resp, body := getStatus(t, routerAddr, "/v1/sessions/ha/stats")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats on promoted node: %d %s", resp.StatusCode, body)
+		t.Fatalf("stats via router after failover: %d %s", resp.StatusCode, body)
 	}
 	var stats map[string]int64
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats["seq"] != 4 {
-		t.Fatalf("promoted node at seq %d, want 4", stats["seq"])
+	if stats["seq"] != 8 {
+		t.Fatalf("survivor at seq %d, want 8", stats["seq"])
 	}
-	if resp := postChunk(t, addrB, "ha", 5, binaryChunk(t, 5, 4096)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("seq 5 after failover: status %d", resp.StatusCode)
-	}
-
-	// The -promote flag drives the same transition over HTTP: it must
-	// refuse an already-promoted node and succeed against a standby.
-	if err := run([]string{"-promote", "-addr", addrB}, nil); err == nil {
-		t.Fatal("-promote against a promoted node must fail")
-	}
-	addrC, errcC := serveArgs(t, "-data", t.TempDir(), "-standby")
-	if err := run([]string{"-promote", "-addr", addrC}, nil); err != nil {
-		t.Fatalf("-promote against a standby: %v", err)
-	}
-	if resp, _ := getStatus(t, addrC, "/readyz"); resp.StatusCode != http.StatusOK {
-		t.Fatal("standby not ready after -promote")
+	// It resumed from the replicated image, not from scratch.
+	for member := range quits {
+		if member == owner {
+			continue
+		}
+		_, metrics := getStatus(t, strings.TrimPrefix(member, "http://"), "/metrics")
+		if !bytes.Contains(metrics, []byte("lpp_replica_adopted_total 1\n")) {
+			t.Fatalf("survivor did not adopt the replicated image:\n%s", metrics)
+		}
 	}
 
-	// One SIGTERM drains all three instances cleanly.
+	// One SIGTERM drains the survivor and the router.
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	for name, errc := range map[string]chan error{"primary": errcA, "standby": errcB, "second standby": errcC} {
+	for name, errc := range errcs {
 		select {
 		case err := <-errc:
 			if err != nil {

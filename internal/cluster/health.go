@@ -114,8 +114,8 @@ func (h *Health) pollAll() {
 }
 
 // probe asks node's /readyz; only a 200 counts. /readyz (not /healthz)
-// is the gate so a standby that is up but not serving ingest stays out
-// of the ring.
+// is the gate so a node that is up but still recovering or already
+// draining stays out of the ring.
 func (h *Health) probe(node string) bool {
 	resp, err := h.client.Get(node + "/readyz")
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 )
 
@@ -30,8 +31,9 @@ type MigrationReport struct {
 func Migrate(client *http.Client, session, source, target string) (MigrationReport, error) {
 	rep := MigrationReport{Session: session, Source: source, Target: target}
 	start := time.Now()
+	path := "/v1/migrate/sessions/" + url.PathEscape(session)
 
-	resp, err := client.Post(source+"/v1/migrate/sessions/"+session+"/export", "", nil)
+	resp, err := client.Post(source+path+"/export", "", nil)
 	if err != nil {
 		return rep, fmt.Errorf("export from %s: %w", source, err)
 	}
@@ -45,21 +47,21 @@ func Migrate(client *http.Client, session, source, target string) (MigrationRepo
 	}
 	rep.ImageBytes = len(image)
 
-	req, err := http.NewRequest(http.MethodPut, target+"/v1/migrate/sessions/"+session, bytes.NewReader(image))
+	req, err := http.NewRequest(http.MethodPut, target+path, bytes.NewReader(image))
 	if err != nil {
-		abort(client, session, source)
+		abort(client, path, source)
 		return rep, err
 	}
 	req.Header.Set("Content-Type", "application/x-lpp-checkpoint")
 	iresp, err := client.Do(req)
 	if err != nil {
-		abort(client, session, source)
+		abort(client, path, source)
 		return rep, fmt.Errorf("import to %s: %w", target, err)
 	}
 	ibody, _ := io.ReadAll(iresp.Body)
 	iresp.Body.Close()
 	if iresp.StatusCode != http.StatusNoContent {
-		abort(client, session, source)
+		abort(client, path, source)
 		return rep, fmt.Errorf("import to %s: %s: %s", target, iresp.Status, bytes.TrimSpace(ibody))
 	}
 	rep.PauseMs = time.Since(start).Seconds() * 1e3
@@ -70,7 +72,7 @@ func Migrate(client *http.Client, session, source, target string) (MigrationRepo
 	// The target is live; completing just retires the source's copy. A
 	// failure here is reported but not fatal to the session: the source
 	// still answers 409/503 until an operator re-runs complete.
-	cresp, err := client.Post(source+"/v1/migrate/sessions/"+session+"/complete?target="+target, "", nil)
+	cresp, err := client.Post(source+path+"/complete?target="+url.QueryEscape(target), "", nil)
 	if err != nil {
 		return rep, fmt.Errorf("complete on %s (target is serving): %w", source, err)
 	}
@@ -82,11 +84,11 @@ func Migrate(client *http.Client, session, source, target string) (MigrationRepo
 	return rep, nil
 }
 
-// abort tells the source to take the session back after a failed
-// transfer; best effort — the migrating marker also yields to a
-// restart.
-func abort(client *http.Client, session, source string) {
-	resp, err := client.Post(source+"/v1/migrate/sessions/"+session+"/abort", "", nil)
+// abort tells the source to take the session (at its escaped migrate
+// path) back after a failed transfer; best effort — the migrating
+// marker also yields to a restart.
+func abort(client *http.Client, path, source string) {
+	resp, err := client.Post(source+path+"/abort", "", nil)
 	if err == nil {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()

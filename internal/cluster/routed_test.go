@@ -78,25 +78,53 @@ type testNode struct {
 // startTestNode listens first so the node can advertise its real URL.
 func startTestNode(t *testing.T, cfg server.Config) *testNode {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	return startCluster(t, 1, func(int) server.Config { return cfg }, false)[0]
+}
+
+// startCluster starts n durable nodes on loopback listeners, node i
+// configured by cfg(i). With replicate, each node ships checkpoints to
+// every session's ring successor — the member the router walks to when
+// the owner dies — exactly as lppserve members given -nodes do.
+func startCluster(t *testing.T, n int, cfg func(i int) server.Config, replicate bool) []*testNode {
+	t.Helper()
+	lns := make([]net.Listener, n)
+	bases := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], bases[i] = ln, "http://"+ln.Addr().String()
+	}
+	ring, err := New(bases, DefaultVnodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + ln.Addr().String()
-	cfg.Advertise = base
-	srv, err := server.New(cfg)
-	if err != nil {
-		ln.Close()
-		t.Fatal(err)
+	nodes := make([]*testNode, n)
+	for i, ln := range lns {
+		c := cfg(i)
+		self := bases[i]
+		c.Advertise = self
+		if replicate {
+			c.Successor = func(id string) string {
+				return ring.OwnerWith(id, func(m string) bool { return m != self })
+			}
+		}
+		srv, err := server.New(c)
+		if err != nil {
+			ln.Close()
+			t.Fatal(err)
+		}
+		hs := &http.Server{Handler: srv.Handler()}
+		go hs.Serve(ln)
+		node := &testNode{srv: srv, base: self, hs: hs, ln: ln}
+		t.Cleanup(func() {
+			node.hs.Close()
+			node.srv.Close()
+		})
+		nodes[i] = node
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	n := &testNode{srv: srv, base: base, hs: hs, ln: ln}
-	t.Cleanup(func() {
-		n.hs.Close()
-		n.srv.Close()
-	})
-	return n
+	return nodes
 }
 
 // kill is node death with no drain: the process state vanishes and new
@@ -243,15 +271,17 @@ func TestRoutedClusterChaosParityWorkloads(t *testing.T) {
 			refConsumers := get(t, client, refNode.base, "/v1/sessions/"+id+"/consumers")
 			refFinal := del(t, client, refNode.base, "/v1/sessions/"+id)
 
-			// The routed cluster: three durable nodes behind one router.
-			nodes := make([]*testNode, 3)
-			bases := make([]string, 3)
-			for i := range nodes {
-				nodes[i] = startTestNode(t, server.Config{
+			// The routed cluster: three durable nodes behind one router,
+			// each replicating to its sessions' ring successors.
+			nodes := startCluster(t, 3, func(int) server.Config {
+				return server.Config{
 					Detector: dcfg, DataDir: t.TempDir(), CheckpointEvery: 3,
 					Consumers: consumers,
-				})
-				bases[i] = nodes[i].base
+				}
+			}, true)
+			bases := make([]string, len(nodes))
+			for i, n := range nodes {
+				bases[i] = n.base
 			}
 			rt, _, routerBase := startRouter(t, bases)
 

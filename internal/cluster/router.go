@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -96,19 +97,23 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sessionID extracts the session from /v1/sessions/{id}[/...].
-func sessionID(path string) string {
-	rest := strings.TrimPrefix(path, "/v1/sessions/")
+// sessionID extracts the session from /v1/sessions/{id}[/...]. It cuts
+// the escaped path, as the nodes' routes do, so an id holding an
+// escaped '/' ("a%2Fb") places as "a/b" — the id the node and the
+// migrate endpoint see — not as "a". An undecodable segment yields "".
+func sessionID(r *http.Request) string {
+	rest := strings.TrimPrefix(r.URL.EscapedPath(), "/v1/sessions/")
 	if i := strings.IndexByte(rest, '/'); i >= 0 {
 		rest = rest[:i]
 	}
-	return rest
+	id, _ := url.PathUnescape(rest)
+	return id
 }
 
 // forward proxies one session request to its owning node, riding out
 // node death, migration holds, and ownership hops.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
-	id := sessionID(r.URL.Path)
+	id := sessionID(r)
 	if id == "" {
 		http.Error(w, "missing session id", http.StatusBadRequest)
 		return

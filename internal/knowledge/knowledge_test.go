@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"lpp/internal/cache"
@@ -180,6 +181,41 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		if r.Len() != 0 {
 			t.Fatalf("%s: corrupt snapshot partially applied", name)
 		}
+	}
+}
+
+// TestMergeSnapshotKeepsOwnEntries: merging another store's snapshot
+// adds its entries through Contribute and leaves this store's own
+// entries and counters in place; a corrupt snapshot changes nothing.
+func TestMergeSnapshotKeepsOwnEntries(t *testing.T) {
+	src := NewStore(Config{})
+	src.Contribute(knowledgeOf(16, 1, 2, 3, 4, 1, 2, 3, 4))
+	src.Contribute(knowledgeOf(6, 7, 8, 7, 8, 7, 8))
+	dst := NewStore(Config{})
+	dst.Contribute(knowledgeOf(9, 5, 5, 6, 5, 5, 6))
+	dst.MarkMiss()
+
+	if err := dst.MergeSnapshot(src.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Len() != 3 || dst.Stats().Misses != 1 {
+		t.Fatalf("after merge: %d entries, %d misses; want 3 and the store's own 1", dst.Len(), dst.Stats().Misses)
+	}
+	for fp, want := range src.entries {
+		got := *dst.entries[fp]
+		got.Clock = want.Clock // clocks are each store's own
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("merged entry %#x differs from the source's", fp)
+		}
+	}
+	before := dst.Snapshot()
+	corrupt := src.Snapshot()
+	corrupt[len(corrupt)/2] ^= 0xff
+	if err := dst.MergeSnapshot(corrupt); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt merge error = %v, want ErrCorrupt", err)
+	}
+	if !bytes.Equal(dst.Snapshot(), before) {
+		t.Fatal("a corrupt snapshot changed the store")
 	}
 }
 

@@ -156,6 +156,25 @@ func (s *Store) RestoreSnapshot(data []byte) error {
 	return nil
 }
 
+// MergeSnapshot folds every entry of another store's snapshot into this
+// one through Contribute, so this store's own entries and counters
+// survive. On any validation failure the store is left unchanged.
+func (s *Store) MergeSnapshot(data []byte) error {
+	src := NewStore(s.cfg)
+	if err := src.RestoreSnapshot(data); err != nil {
+		return err
+	}
+	fps := make([]uint64, 0, len(src.entries))
+	for fp := range src.entries {
+		fps = append(fps, fp)
+	}
+	sortU64(fps)
+	for _, fp := range fps {
+		s.Contribute(*src.entries[fp])
+	}
+	return nil
+}
+
 func decKnowledge(d *dec) (*Knowledge, error) {
 	k := &Knowledge{
 		Fingerprint: d.u64(),

@@ -1,21 +1,26 @@
-// Package replica streams a primary lppserve's durable state to a peer
-// so a node death loses nothing a checkpoint captured. The unit of
-// replication is the session checkpoint — the same LPPCKPT1-framed,
-// CRC-sealed image the durable layer writes to disk (carrying the
-// LPPBUS1 detector+chain snapshot, its sequence number, and the cached
-// response) — plus session removals and knowledge-store snapshots.
+// Package replica streams a node's durable session state to the
+// session's ring successor so a node death loses nothing a checkpoint
+// captured. The unit of replication is the session checkpoint — the
+// same LPPCKPT1-framed, CRC-sealed image the durable layer writes to
+// disk — plus session removals and knowledge-store snapshots.
 //
-// Replication is asynchronous and lossy by design: the primary's
-// ingest path never waits on the peer. Checkpoints enter a bounded
-// queue that coalesces per session (only the newest image matters) and
-// drops its oldest entry under overflow; anything dropped — or missed
-// during an outage — is repaired by a full resync the next time the
-// peer answers. Because every item is a complete state image keyed by
-// sequence number, re-sending is always safe: the receiver ignores
-// images older than what it holds. The client side of the failover
-// contract is the seq-numbered retry loop: chunks accepted after the
-// last replicated checkpoint are re-sent by the client after
-// promotion, so the combined protocol loses zero acknowledged events.
+// A Replicator writes under one receiver namespace,
+// {successor}/v1/replica/{origin}. The receiver keeps each origin's
+// images apart from the sessions it owns and from other origins'
+// images, so status, resync, orphan deletion and removal only ever see
+// this origin's images. A receiver that serves the session itself
+// answers a checkpoint with 409: settled, not retried.
+//
+// Replication is asynchronous and lossy by design: the owner's ingest
+// path never waits on the successor. Checkpoints enter a bounded queue
+// that coalesces per session (only the newest image matters) and drops
+// its oldest entry under overflow; anything dropped — or missed during
+// an outage — is repaired by a full resync the next time the successor
+// answers. Re-sending is always safe: the receiver ignores images older
+// than what it holds. The client side of the failover contract is the
+// seq-numbered retry loop: the successor adopts its newest image when
+// it takes the session over, and the client re-sends the chunks
+// accepted after that image, losing zero acknowledged events.
 package replica
 
 import (
@@ -47,21 +52,19 @@ type Checkpoint struct {
 	Response []byte
 }
 
-// Status is the peer's replication inventory, served at
-// GET /v1/replica/status and consumed by the resync path.
+// Status is the receiver's inventory of one origin's images, served at
+// GET {Peer}/status and consumed by the resync path.
 type Status struct {
-	// Role is "standby" (accepting replication) or "primary".
-	Role string `json:"role"`
-	// State is the server's readiness state string.
-	State string `json:"state"`
 	// Sessions maps session ID to the checkpoint sequence number the
-	// peer holds.
+	// receiver holds for this origin.
 	Sessions map[string]uint64 `json:"sessions"`
 }
 
 // Config tunes a Replicator. Peer and Source are required.
 type Config struct {
-	// Peer is the replica's base URL (e.g. "http://host:8081").
+	// Peer is the base URL of this origin's namespace on the receiving
+	// node (e.g. "http://b:8081/v1/replica/http:%2F%2Fa:8080"); the
+	// Replicator speaks /status, /sessions/{id} and /knowledge under it.
 	Peer string
 	// QueueDepth bounds pending replication items (default 64). Under
 	// overflow the oldest item is dropped and a resync scheduled.
@@ -74,9 +77,9 @@ type Config struct {
 	MaxBackoff time.Duration
 	// Transport overrides the HTTP transport (fault-injection tests).
 	Transport http.RoundTripper
-	// Source returns the latest durable checkpoint of every session —
-	// the full-resync image. Called whenever the peer reconnects after
-	// an outage or a drop.
+	// Source returns the latest durable checkpoint of every session this
+	// Replicator covers — the full-resync image. Called whenever the
+	// peer reconnects after an outage or a drop.
 	Source func() []Checkpoint
 	// Knowledge returns the current knowledge-store snapshot for
 	// resync, or nil when the server runs without a store.
@@ -198,8 +201,8 @@ func New(cfg Config) (*Replicator, error) {
 		cfg:    cfg,
 		client: &http.Client{Transport: cfg.Transport},
 		index:  make(map[string]*item),
-		// A fresh primary may already hold durable sessions the peer
-		// has never seen (restart after a crash): catch up first.
+		// A fresh owner may already hold durable sessions the peer has
+		// never seen (restart after a crash): catch up first.
 		needResync: true,
 		kick:       make(chan struct{}, 1),
 		stop:       make(chan struct{}),
@@ -251,8 +254,8 @@ func (r *Replicator) EnqueueCheckpoint(ck Checkpoint) {
 	r.enqueue(&item{kind: itemCheckpoint, session: ck.Session, ck: ck})
 }
 
-// EnqueueRemove schedules a session removal (the session closed on the
-// primary).
+// EnqueueRemove schedules a session removal (the session closed or
+// migrated away here).
 func (r *Replicator) EnqueueRemove(session string) {
 	r.enqueue(&item{kind: itemRemove, session: session})
 }
@@ -425,26 +428,28 @@ func (r *Replicator) noteSent(it *item) {
 	r.mu.Unlock()
 }
 
-// send delivers one item to the peer.
+// send delivers one item to the peer. A 409 on a checkpoint means the
+// peer serves the session itself and refused the image; a 404 on a
+// removal or a knowledge snapshot means nothing to remove or no store
+// to merge into (an asymmetric deployment). Both are settled, not
+// retried.
 func (r *Replicator) send(it *item) error {
+	var err error
 	switch it.kind {
 	case itemCheckpoint:
 		body := durable.EncodeCheckpoint(it.ck.Seq, it.ck.Snapshot, it.ck.Response)
-		return r.put("/v1/replica/sessions/"+url.PathEscape(it.session), "application/x-lpp-checkpoint", body, false)
+		_, err = r.do("PUT", "/sessions/"+url.PathEscape(it.session), "application/x-lpp-checkpoint", body, http.StatusConflict)
 	case itemRemove:
-		return r.do("DELETE", "/v1/replica/sessions/"+url.PathEscape(it.session), "", nil, true)
+		_, err = r.do("DELETE", "/sessions/"+url.PathEscape(it.session), "", nil, http.StatusNotFound)
 	default:
-		// A peer without a knowledge store answers 404: not an outage,
-		// just an asymmetric deployment — skip, don't retry forever.
-		return r.put("/v1/replica/knowledge", "application/x-lpp-knowledge", it.snapshot, true)
+		_, err = r.do("PUT", "/knowledge", "application/x-lpp-knowledge", it.snapshot, http.StatusNotFound)
 	}
+	return err
 }
 
-func (r *Replicator) put(path, contentType string, body []byte, okMissing bool) error {
-	return r.do("PUT", path, contentType, body, okMissing)
-}
-
-func (r *Replicator) do(method, path, contentType string, body []byte, okMissing bool) error {
+// do issues one request and returns the answer's body; a 2xx answer or
+// the settled status counts as delivered.
+func (r *Replicator) do(method, path, contentType string, body []byte, settled int) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(r.ctx, r.cfg.Timeout)
 	defer cancel()
 	var rd io.Reader
@@ -453,29 +458,26 @@ func (r *Replicator) do(method, path, contentType string, body []byte, okMissing
 	}
 	req, err := http.NewRequestWithContext(ctx, method, r.cfg.Peer+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Read the whole body: a truncated response (connection torn
 	// mid-reply) must count as a failed delivery, not a silent success.
-	_, rerr := io.Copy(io.Discard, resp.Body)
+	out, rerr := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if rerr != nil {
-		return fmt.Errorf("replica: %s %s: reading response: %w", method, path, rerr)
+		return nil, fmt.Errorf("replica: %s %s: reading response: %w", method, path, rerr)
 	}
-	if resp.StatusCode == http.StatusNotFound && okMissing {
-		return nil
+	if resp.StatusCode != settled && (resp.StatusCode < 200 || resp.StatusCode >= 300) {
+		return nil, fmt.Errorf("replica: %s %s: peer answered %s", method, path, resp.Status)
 	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return fmt.Errorf("replica: %s %s: peer answered %s", method, path, resp.Status)
-	}
-	return nil
+	return out, nil
 }
 
 // resync is the catch-up path: ask the peer what it holds, then send
@@ -483,15 +485,13 @@ func (r *Replicator) do(method, path, contentType string, body []byte, okMissing
 // image is the session's full state, so resync is idempotent and safe
 // to interleave with queued sends (the receiver ignores regressions).
 func (r *Replicator) resync() error {
-	st, err := r.fetchStatus()
+	body, err := r.do("GET", "/status", "", nil, 0)
 	if err != nil {
 		return err
 	}
-	if st.Role != "standby" {
-		// Never push state at a node that believes it is primary: that
-		// is either a split brain or a misconfiguration, and silently
-		// overwriting its sessions would destroy live data.
-		return fmt.Errorf("replica: peer role is %q, not standby", st.Role)
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		return fmt.Errorf("replica: status: %w", err)
 	}
 	local := r.cfg.Source()
 	seen := make(map[string]bool, len(local))
@@ -503,21 +503,20 @@ func (r *Replicator) resync() error {
 		if st.Sessions[ck.Session] == ck.Seq {
 			continue // peer already current
 		}
-		body := durable.EncodeCheckpoint(ck.Seq, ck.Snapshot, ck.Response)
-		if err := r.put("/v1/replica/sessions/"+url.PathEscape(ck.Session), "application/x-lpp-checkpoint", body, false); err != nil {
+		if err := r.send(&item{kind: itemCheckpoint, session: ck.Session, ck: ck}); err != nil {
 			return err
 		}
 	}
 	for id := range st.Sessions {
 		if !seen[id] {
-			if err := r.do("DELETE", "/v1/replica/sessions/"+url.PathEscape(id), "", nil, true); err != nil {
+			if err := r.send(&item{kind: itemRemove, session: id}); err != nil {
 				return err
 			}
 		}
 	}
 	if r.cfg.Knowledge != nil {
 		if snap := r.cfg.Knowledge(); snap != nil {
-			if err := r.put("/v1/replica/knowledge", "application/x-lpp-knowledge", snap, true); err != nil {
+			if err := r.send(&item{kind: itemKnowledge, snapshot: snap}); err != nil {
 				return err
 			}
 		}
@@ -528,27 +527,4 @@ func (r *Replicator) resync() error {
 	r.connected = true
 	r.mu.Unlock()
 	return nil
-}
-
-func (r *Replicator) fetchStatus() (*Status, error) {
-	ctx, cancel := context.WithTimeout(r.ctx, r.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", r.cfg.Peer+"/v1/replica/status", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("replica: status: peer answered %s", resp.Status)
-	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("replica: status: %w", err)
-	}
-	return &st, nil
 }

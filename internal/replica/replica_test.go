@@ -15,10 +15,11 @@ import (
 )
 
 // fakePeer is a minimal in-memory replica target implementing the
-// /v1/replica/* surface the Replicator speaks.
+// namespace surface the Replicator speaks.
 type fakePeer struct {
 	mu        sync.Mutex
-	role      string
+	owned     map[string]bool // sessions served here: images refused
+	refused   int
 	sessions  map[string]uint64
 	images    map[string][]byte
 	knowledge []byte
@@ -26,21 +27,21 @@ type fakePeer struct {
 }
 
 func newFakePeer() *fakePeer {
-	return &fakePeer{role: "standby", sessions: make(map[string]uint64), images: make(map[string][]byte)}
+	return &fakePeer{owned: make(map[string]bool), sessions: make(map[string]uint64), images: make(map[string][]byte)}
 }
 
 func (p *fakePeer) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/replica/status", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
 		p.mu.Lock()
-		st := Status{Role: p.role, State: "standby", Sessions: make(map[string]uint64, len(p.sessions))}
+		st := Status{Sessions: make(map[string]uint64, len(p.sessions))}
 		for id, seq := range p.sessions {
 			st.Sessions[id] = seq
 		}
 		p.mu.Unlock()
 		json.NewEncoder(w).Encode(st)
 	})
-	mux.HandleFunc("PUT /v1/replica/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -53,6 +54,12 @@ func (p *fakePeer) handler() http.Handler {
 		}
 		id := r.PathValue("id")
 		p.mu.Lock()
+		if p.owned[id] {
+			p.refused++
+			p.mu.Unlock()
+			http.Error(w, "session is owned here", http.StatusConflict)
+			return
+		}
 		if seq >= p.sessions[id] {
 			p.sessions[id] = seq
 			p.images[id] = body
@@ -60,7 +67,7 @@ func (p *fakePeer) handler() http.Handler {
 		p.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("DELETE /v1/replica/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		p.mu.Lock()
 		delete(p.sessions, id)
@@ -68,7 +75,7 @@ func (p *fakePeer) handler() http.Handler {
 		p.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("PUT /v1/replica/knowledge", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /knowledge", func(w http.ResponseWriter, r *http.Request) {
 		p.mu.Lock()
 		noStore := p.noStore
 		p.mu.Unlock()
@@ -278,18 +285,28 @@ func TestKnowledgePeerWithoutStoreIsNotAnError(t *testing.T) {
 	}
 }
 
-func TestRefusesToReplicateToPrimary(t *testing.T) {
+// TestOwnedRefusalIsSettled: a peer that serves the session itself
+// refuses its image with 409. The replicator treats that as settled —
+// no error, no retry — and the queue drains past it.
+func TestOwnedRefusalIsSettled(t *testing.T) {
 	peer := newFakePeer()
-	peer.role = "primary"
+	peer.owned["a"] = true
 	srv := httptest.NewServer(peer.handler())
 	defer srv.Close()
 	r := testReplicator(t, srv.URL, nil, nil, nil)
 	r.EnqueueCheckpoint(ck("a", 1))
-	waitUntil(t, "refusal errors", func() bool { return r.Stats().Errors >= 2 })
-	if peer.seq("a") != 0 {
-		t.Fatal("checkpoint pushed at a primary peer")
+	r.EnqueueCheckpoint(ck("b", 1))
+	waitUntil(t, "delivery past the refusal", func() bool { return peer.seq("b") == 1 })
+	if !r.Flush(5 * time.Second) {
+		t.Fatalf("queue did not drain past a refusal: %+v", r.Stats())
 	}
-	if st := r.Stats(); st.Connected {
-		t.Fatalf("connected against a primary peer: %+v", st)
+	peer.mu.Lock()
+	refused := peer.refused
+	peer.mu.Unlock()
+	if peer.seq("a") != 0 || refused != 1 {
+		t.Fatalf("owned session: held seq %d, refusals %d; want 0 and exactly 1 (no retry)", peer.seq("a"), refused)
+	}
+	if st := r.Stats(); st.Errors != 0 || !st.Connected {
+		t.Fatalf("refusal counted as a failure: %+v", st)
 	}
 }

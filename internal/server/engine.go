@@ -150,6 +150,7 @@ func (s *Server) run(sess *session) {
 	}
 	w.det = online.NewDetector(w.cfg)
 	if s.store != nil {
+		s.adoptReplica(sess.id)
 		w.log = s.store.Session(sess.id)
 		w.restore()
 		sess.seq.Store(w.lastSeq)
@@ -334,7 +335,7 @@ func (w *worker) close() result {
 		}
 		// FIFO queue order guarantees this lands after any pending
 		// checkpoint of the same session.
-		if rep := w.s.rep.Load(); rep != nil {
+		if rep := w.s.replicatorFor(w.sess.id); rep != nil {
 			rep.EnqueueRemove(w.sess.id)
 		}
 	}
@@ -409,7 +410,7 @@ func (w *worker) contributeKnowledge() {
 			if err := store.Persist(); err != nil {
 				w.s.m.walErrors.Add(1)
 			}
-			if rep := w.s.rep.Load(); rep != nil {
+			for _, rep := range w.s.replicators() {
 				rep.EnqueueKnowledge(store.Snapshot())
 			}
 		}

@@ -2,7 +2,7 @@ package server
 
 // Engine durable-state plumbing: restoring a worker from its
 // checkpoint + WAL suffix, writing checkpoints (and streaming them to
-// the replica peer), and the LPPBUS1 framing that packs the detector
+// the session's ring successor), and the LPPBUS1 framing that packs the detector
 // and consumer-chain snapshots into one checkpoint image.
 
 import (
@@ -107,17 +107,17 @@ func (w *worker) persist() (snap []byte, ok bool) {
 	return snap, true
 }
 
-// checkpoint persists the session and streams the image to the
-// replica peer.
+// checkpoint persists the session and streams the image to its ring
+// successor.
 func (w *worker) checkpoint() {
 	snap, ok := w.persist()
 	if !ok {
 		return
 	}
-	// Replicate only what disk accepted: the peer must never hold an
-	// image the primary could not persist. snap and w.cached are fresh
+	// Replicate only what disk accepted: the successor must never hold
+	// an image the owner could not persist. snap and w.cached are fresh
 	// allocations owned by this checkpoint, safe to hand off.
-	if rep := w.s.rep.Load(); rep != nil {
+	if rep := w.s.replicatorFor(w.sess.id); rep != nil {
 		rep.EnqueueCheckpoint(replica.Checkpoint{
 			Session:  w.sess.id,
 			Seq:      w.lastSeq,

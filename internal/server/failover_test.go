@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -23,48 +24,67 @@ import (
 	"lpp/internal/workload"
 )
 
-// standbyServer starts a standby replica on a real listener (the
-// primary's replicator dials it over TCP) and returns it with its base
-// URL.
-func standbyServer(t *testing.T, cfg Config) (*Server, string) {
-	t.Helper()
-	cfg.Standby = true
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	go hs.Serve(ln)
-	t.Cleanup(func() {
-		hs.Close()
-		s.Close()
-	})
-	return s, "http://" + ln.Addr().String()
+// ringNode is one durable node on a real loopback listener.
+type ringNode struct {
+	*Server
+	hs *http.Server
 }
 
-// flushReplication drains the primary's replication queue and fails
-// the test if the peer is unreachable.
+// kill is node death: the listener closes and every worker stops where
+// it stands; nothing is flushed or checkpointed.
+func (n *ringNode) kill() {
+	n.hs.Close()
+	n.Kill()
+}
+
+// startRing starts one durable node per config on real listeners (the
+// replicators dial over TCP) and wires replication as a ring: each
+// node's successor for every session is the next node. Two configs give
+// a two-member ring: each node is the other's successor.
+func startRing(t *testing.T, cfgs ...Config) []*ringNode {
+	t.Helper()
+	lns := make([]net.Listener, len(cfgs))
+	bases := make([]string, len(cfgs))
+	for i := range cfgs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], bases[i] = ln, "http://"+ln.Addr().String()
+	}
+	nodes := make([]*ringNode, len(cfgs))
+	for i, cfg := range cfgs {
+		next := bases[(i+1)%len(bases)]
+		cfg.Advertise = bases[i]
+		cfg.Successor = func(string) string { return next }
+		n := &ringNode{Server: mustServer(t, cfg)}
+		n.hs = &http.Server{Handler: n.Handler()}
+		go n.hs.Serve(lns[i])
+		t.Cleanup(func() {
+			n.hs.Close()
+			n.Close()
+		})
+		nodes[i] = n
+	}
+	return nodes
+}
+
+// flushReplication drains the node's replication queues and fails the
+// test if a successor is unreachable.
 func flushReplication(t *testing.T, s *Server) {
 	t.Helper()
-	rep := s.Replicator()
-	if rep == nil {
-		t.Fatal("no replicator configured")
-	}
-	if !rep.Flush(10 * time.Second) {
-		t.Fatalf("replication did not drain: %+v", rep.Stats())
+	if !s.FlushReplication(10 * time.Second) {
+		t.Fatal("replication did not drain")
 	}
 }
 
 // TestFailoverChaosParityWorkloads is the headline robustness check:
-// for each of the nine paper workloads, a primary streams chunks to a
-// live standby, dies without warning at a random chunk boundary, the
-// standby is promoted, and the client replays its tail (riding the 409
-// gap responses via X-Lpp-Want-Seq). Every re-sent chunk must produce
-// a byte-identical response to the one the dead primary acknowledged —
+// for each of the nine paper workloads, an owner streams checkpoints to
+// its ring successor, dies without warning at a random chunk boundary,
+// the successor adopts the replicated image on the next request, and
+// the client replays its tail (riding the 409 gap responses via
+// X-Lpp-Want-Seq). Every re-sent chunk must produce a byte-identical
+// response to the one the dead owner acknowledged —
 // zero acknowledged events lost — and the post-failover session state
 // (detector, consumer chain, predictor) must match an uninterrupted
 // run exactly.
@@ -116,14 +136,15 @@ func TestFailoverChaosParityWorkloads(t *testing.T) {
 				}
 				return ch
 			}
-			sB, peerURL := standbyServer(t, Config{
+			cfg := Config{
+				Detector: dcfg, DataDir: t.TempDir(), CheckpointEvery: 3,
+				Consumers: consumers,
+			}
+			ring := startRing(t, cfg, Config{
 				Detector: dcfg, DataDir: t.TempDir(), CheckpointEvery: 3,
 				Consumers: consumers,
 			})
-			s1 := mustServer(t, Config{
-				Detector: dcfg, DataDir: t.TempDir(), CheckpointEvery: 3,
-				Consumers: consumers, Peer: peerURL,
-			})
+			s1, sB := ring[0], ring[1]
 
 			// The client's view: every acknowledged chunk's response.
 			acked := make([][]byte, len(bounds))
@@ -136,19 +157,14 @@ func TestFailoverChaosParityWorkloads(t *testing.T) {
 			}
 			// Let replication catch up, then the node dies where it
 			// stands: nothing else is flushed.
-			flushReplication(t, s1)
-			s1.Kill()
+			flushReplication(t, s1.Server)
+			s1.kill()
 
-			// Failover: promote the standby; its durable state is
-			// whatever the replication stream delivered.
-			if _, err := sB.Promote(); err != nil {
-				t.Fatalf("promote: %v", err)
-			}
-
-			// The client switches base URL and continues with its next
-			// sequence number. The promoted node recovered from the last
-			// replicated checkpoint, so the client may be ahead: ride the
-			// 409, rewind to X-Lpp-Want-Seq, replay the tail.
+			// Failover: the client switches base URL to the successor and
+			// continues with its next sequence number. The successor
+			// adopts the last replicated checkpoint, so the client may be
+			// ahead: ride the 409, rewind to X-Lpp-Want-Seq, replay the
+			// tail.
 			h2 := sB.Handler()
 			next := killChunk + 1
 			rr := postSeq(t, h2, "fo", uint64(next+1), col.events[bounds[next][0]:bounds[next][1]])
@@ -172,9 +188,9 @@ func TestFailoverChaosParityWorkloads(t *testing.T) {
 					t.Fatalf("chunk %d after failover: status %d: %s", i, rr.Code, rr.Body.String())
 				}
 				if i <= killChunk && !bytes.Equal(rr.Body.Bytes(), acked[i]) {
-					// The dead primary acknowledged this chunk; the
-					// promoted replica must answer it identically or
-					// events were lost.
+					// The dead owner acknowledged this chunk; the
+					// successor must answer it identically or events
+					// were lost.
 					t.Fatalf("chunk %d replayed after failover diverges from the acknowledged response", i)
 				}
 				acked[i] = append([]byte(nil), rr.Body.Bytes()...)
@@ -209,70 +225,80 @@ func TestFailoverChaosParityWorkloads(t *testing.T) {
 	}
 }
 
-// TestReplicaKnowledgeFailover: knowledge contributed on the primary
-// (session close) replicates to the standby's store byte-identically,
-// and survives promotion.
+// TestReplicaKnowledgeFailover: knowledge contributed on one node
+// (session close) reaches its successor's store, which merges it entry
+// by entry, and warm-starts sessions there after the node dies.
 func TestReplicaKnowledgeFailover(t *testing.T) {
 	events := fftEvents(t)
 	consumers := func() *phase.Chain {
 		return phase.NewChain(phase.NewPredictorConsumer(predictor.Strict))
 	}
-	storeB, err := knowledge.Open(filepath.Join(t.TempDir(), "knowledge.lpp"), nil, knowledge.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sB, peerURL := standbyServer(t, Config{
-		DataDir: t.TempDir(), Knowledge: storeB, Consumers: consumers,
-	})
 	storeA, err := knowledge.Open(filepath.Join(t.TempDir(), "knowledge.lpp"), nil, knowledge.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := mustServer(t, Config{
-		DataDir: t.TempDir(), Knowledge: storeA, Consumers: consumers, Peer: peerURL,
-	})
-	defer s1.Close()
+	storeB, err := knowledge.Open(filepath.Join(t.TempDir(), "knowledge.lpp"), nil, knowledge.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := startRing(t,
+		Config{DataDir: t.TempDir(), Knowledge: storeA, Consumers: consumers},
+		Config{DataDir: t.TempDir(), Knowledge: storeB, Consumers: consumers})
+	s1, sB := ring[0], ring[1]
 
 	// Training session: the close contributes to the store, which
-	// enqueues a knowledge snapshot for the peer.
+	// enqueues a knowledge snapshot for the successor.
 	chunked(t, s1.Handler(), "train", events, 10000, true)
 	if storeA.Len() != 1 {
-		t.Fatalf("primary store entries = %d, want 1", storeA.Len())
+		t.Fatalf("owner store entries = %d, want 1", storeA.Len())
 	}
-	flushReplication(t, s1)
-	if !bytes.Equal(storeA.Snapshot(), storeB.Snapshot()) {
-		t.Fatal("standby knowledge snapshot differs from the primary's")
+	flushReplication(t, s1.Server)
+	// Every entry arrived intact. Clocks and counters are each store's
+	// own, so compare the entries through a fresh merge of each store.
+	if !bytes.Equal(mergedEntries(t, storeA), mergedEntries(t, storeB)) {
+		t.Fatal("successor's knowledge entries differ from the owner's")
 	}
-	// After promotion the replicated knowledge warm-starts sessions on
-	// the new primary.
-	if _, err := sB.Promote(); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
+	// After the owner dies the merged knowledge warm-starts sessions on
+	// the successor.
+	s1.kill()
 	chunked(t, sB.Handler(), "replay", events, 10000, true)
 	if st := storeB.Stats(); st.Hits != 1 {
-		t.Fatalf("warm-start hits on promoted node = %d, want 1: %+v", st.Hits, st)
+		t.Fatalf("warm-start hits on the successor = %d, want 1: %+v", st.Hits, st)
 	}
+}
+
+// mergedEntries canonicalizes a store's entries: merged into an empty
+// store, entries get clocks 1..n in fingerprint order and the counters
+// stay zero, so two stores holding equal entries give equal bytes.
+func mergedEntries(t *testing.T, st *knowledge.Store) []byte {
+	t.Helper()
+	fresh := knowledge.NewStore(knowledge.Config{})
+	if err := fresh.MergeSnapshot(st.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	return fresh.Snapshot()
 }
 
 // TestQuarantinedSessionCheckpointReplicates: a session that panics
 // keeps answering a stable "quarantined" error, and the last good
-// checkpoint it took before the panic is still on the peer — promotion
-// recovers the session at that point.
+// checkpoint it took before the panic is still on the successor — which
+// adopts the session at that point once the owner dies.
 func TestQuarantinedSessionCheckpointReplicates(t *testing.T) {
 	events := syntheticEvents(21, 6, 6)
 	bounds := chunkBounds(len(events), 6)
-	sB, peerURL := standbyServer(t, Config{DataDir: t.TempDir(), CheckpointEvery: 3})
-	s1 := mustServer(t, Config{DataDir: t.TempDir(), CheckpointEvery: 3, Peer: peerURL})
-	defer s1.Close()
+	ring := startRing(t,
+		Config{DataDir: t.TempDir(), CheckpointEvery: 3},
+		Config{DataDir: t.TempDir(), CheckpointEvery: 3})
+	s1, sB := ring[0], ring[1]
 	h := s1.Handler()
 
-	// Three clean chunks: a checkpoint at seq 3 heads to the peer.
+	// Three clean chunks: a checkpoint at seq 3 heads to the successor.
 	for i := 0; i < 3; i++ {
 		if rr := postSeq(t, h, "q", uint64(i+1), events[bounds[i][0]:bounds[i][1]]); rr.Code != http.StatusOK {
 			t.Fatalf("chunk %d: status %d", i, rr.Code)
 		}
 	}
-	flushReplication(t, s1)
+	flushReplication(t, s1.Server)
 
 	// The fourth chunk panics the detector: quarantine.
 	s1.testChunkHook = func() { panic("detector bug") }
@@ -290,26 +316,29 @@ func TestQuarantinedSessionCheckpointReplicates(t *testing.T) {
 		}
 	}
 
-	// The peer still holds the seq-3 checkpoint (the panic never
-	// poisoned it), and promotion recovers the session there.
-	st := replicaStatus(t, sB)
+	// The successor still holds the seq-3 checkpoint (the panic never
+	// poisoned it), and adopts the session there once the owner dies.
+	st := replicaStatus(t, sB.Server, s1.Advertise())
 	if st.Sessions["q"] != 3 {
-		t.Fatalf("peer holds seq %d for quarantined session, want 3", st.Sessions["q"])
+		t.Fatalf("successor holds seq %d for quarantined session, want 3", st.Sessions["q"])
 	}
-	s1.Kill()
-	if _, err := sB.Promote(); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	// The promoted copy is healthy at seq 3: chunk 4 (the one that
-	// killed the primary's copy) feeds normally.
+	s1.kill()
+	// The adopted copy is healthy at seq 3: chunk 4 (the one that
+	// killed the owner's copy) feeds normally.
 	if rr := postSeq(t, sB.Handler(), "q", 4, events[bounds[3][0]:bounds[3][1]]); rr.Code != http.StatusOK {
-		t.Fatalf("chunk 4 on promoted node: status %d: %s", rr.Code, rr.Body.String())
+		t.Fatalf("chunk 4 on the successor: status %d: %s", rr.Code, rr.Body.String())
 	}
 }
 
-func replicaStatus(t *testing.T, s *Server) replica.Status {
+// replicaPath is origin's replica namespace on a receiver.
+func replicaPath(origin string) string {
+	return "/v1/replica/" + url.PathEscape(origin)
+}
+
+// replicaStatus fetches what s holds from origin.
+func replicaStatus(t *testing.T, s *Server, origin string) replica.Status {
 	t.Helper()
-	rr := do(t, s.Handler(), "GET", "/v1/replica/status")
+	rr := do(t, s.Handler(), "GET", replicaPath(origin)+"/status")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("replica status: %d", rr.Code)
 	}
@@ -318,62 +347,6 @@ func replicaStatus(t *testing.T, s *Server) replica.Status {
 		t.Fatal(err)
 	}
 	return st
-}
-
-// TestStandbyRefusalsAndReadyz pins the role contract: a standby
-// refuses normal ingest (503) and reports not-ready; a primary refuses
-// replica writes (409) and reports ready; promotion flips both.
-func TestStandbyRefusalsAndReadyz(t *testing.T) {
-	sB, _ := standbyServer(t, Config{DataDir: t.TempDir()})
-	events := syntheticEvents(22, 2, 2)
-
-	if rr := postSeq(t, sB.Handler(), "x", 1, events[:100]); rr.Code != http.StatusServiceUnavailable ||
-		!strings.Contains(rr.Body.String(), "standby") {
-		t.Fatalf("ingest on standby: status %d body %s", rr.Code, rr.Body.String())
-	}
-	if rr := do(t, sB.Handler(), "GET", "/readyz"); rr.Code != http.StatusServiceUnavailable ||
-		!strings.Contains(rr.Body.String(), "standby") {
-		t.Fatalf("standby readyz: status %d body %s", rr.Code, rr.Body.String())
-	}
-	if rr := do(t, sB.Handler(), "GET", "/healthz"); rr.Code != http.StatusOK {
-		t.Fatalf("standby healthz: status %d (liveness must stay green on a standby)", rr.Code)
-	}
-	if st := replicaStatus(t, sB); st.Role != "standby" {
-		t.Fatalf("standby role = %q", st.Role)
-	}
-	if _, err := sB.Promote(); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	if _, err := sB.Promote(); err == nil {
-		t.Fatal("second promote must fail")
-	}
-	if rr := do(t, sB.Handler(), "GET", "/readyz"); rr.Code != http.StatusOK {
-		t.Fatalf("promoted readyz: status %d body %s", rr.Code, rr.Body.String())
-	}
-	if rr := postSeq(t, sB.Handler(), "x", 1, events[:100]); rr.Code != http.StatusOK {
-		t.Fatalf("ingest after promote: status %d", rr.Code)
-	}
-	if st := replicaStatus(t, sB); st.Role != "primary" {
-		t.Fatalf("promoted role = %q", st.Role)
-	}
-	// Replica writes bounce off a primary with 409 — the signal a
-	// stale primary's replicator uses to stop pushing (split brain
-	// guard on the receiving side).
-	req := httptest.NewRequest("PUT", "/v1/replica/sessions/x", bytes.NewReader([]byte("junk")))
-	rr := httptest.NewRecorder()
-	sB.Handler().ServeHTTP(rr, req)
-	if rr.Code != http.StatusConflict {
-		t.Fatalf("replica PUT on primary: status %d", rr.Code)
-	}
-
-	// An ephemeral (no DataDir) server cannot be a standby or a
-	// replication source.
-	if _, err := New(Config{Standby: true}); err == nil {
-		t.Fatal("standby without DataDir must fail")
-	}
-	if _, err := New(Config{Peer: "http://localhost:1"}); err == nil {
-		t.Fatal("peer without DataDir must fail")
-	}
 }
 
 // TestRetryAfterHint: a backpressured POST carries both the standard

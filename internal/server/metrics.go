@@ -50,6 +50,8 @@ type metrics struct {
 	checkpoints    atomic.Int64
 	replayed       atomic.Int64
 	replicaApplied atomic.Int64
+	replicaAdopted atomic.Int64
+	replicaRefused atomic.Int64
 	migrationsOut  atomic.Int64
 	migrationsIn   atomic.Int64
 

@@ -31,10 +31,6 @@ import (
 // returns it, leaving the session in the migrating state.
 func (s *Server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.standby.Load() {
-		writeErr(w, http.StatusServiceUnavailable, errStandby.Error())
-		return
-	}
 	// Only sessions that exist somewhere are exportable: a live worker
 	// or suspended durable state. The claim comes after the revival so
 	// it is unambiguous: of two concurrent exports, exactly one wins
@@ -75,13 +71,11 @@ func (s *Server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMigrateImport ingests an exported session image and resumes
-// the session on this node.
+// the session on this node. The image lands in the owned store, where a
+// failover's adoption also puts the image it takes, and the session is
+// revived eagerly.
 func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.standby.Load() {
-		writeErr(w, http.StatusConflict, "standby: promote before importing sessions")
-		return
-	}
 	if s.store == nil {
 		writeErr(w, http.StatusServiceUnavailable, "migration target requires durability (DataDir)")
 		return
@@ -94,13 +88,17 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// The image is the session's newest state whatever this node held:
+	// it replaces the owned state, and the revival below drops any
+	// replica copies of the id.
 	if err := s.store.Session(id).Checkpoint(seq, snap, resp); err != nil {
 		s.m.walErrors.Add(1)
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	// Ours now, whatever this node used to think about the id.
-	s.adoptSession(id)
+	// Ours now, whatever this node used to think about the id: drop
+	// its placement markers.
+	s.completeMigration(id, "")
 	// Resume eagerly: the next chunk should hit a warm detector, not
 	// pay the restore on the request path.
 	sess, err := s.getSession(id, true)
@@ -109,9 +107,9 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	<-sess.ready
-	// Replicate the adopted session to this node's standby (if any) so
-	// the migration doesn't shrink the redundancy story.
-	if rep := s.rep.Load(); rep != nil {
+	// Replicate the adopted session to its successor from here so the
+	// migration doesn't shrink the redundancy story.
+	if rep := s.replicatorFor(id); rep != nil {
 		rep.EnqueueCheckpoint(replica.Checkpoint{Session: id, Seq: seq, Snapshot: snap, Response: resp})
 	}
 	s.m.migrationsIn.Add(1)
@@ -136,7 +134,9 @@ func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		if rep := s.rep.Load(); rep != nil {
+		// Only the successor's replica image goes; a successor that is
+		// the migration target keeps the session it now owns.
+		if rep := s.replicatorFor(id); rep != nil {
 			rep.EnqueueRemove(id)
 		}
 	}

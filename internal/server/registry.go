@@ -177,15 +177,6 @@ func (s *Server) completeMigration(id, target string) {
 	s.placeMu.Unlock()
 }
 
-// adoptSession clears any placement markers for id — an imported
-// session is ours now, whatever its history here was.
-func (s *Server) adoptSession(id string) {
-	s.placeMu.Lock()
-	delete(s.migrating, id)
-	delete(s.remote, id)
-	s.placeMu.Unlock()
-}
-
 func (s *Server) getSession(id string, create bool) (*session, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -196,11 +187,6 @@ func (s *Server) getSession(id string, create bool) (*session, error) {
 	// before it is already in the map when the drain takes this lock.
 	if s.closed.Load() {
 		return nil, errServerClosed
-	}
-	// A standby's durable state belongs to the replication stream;
-	// reviving a session here would race the next replicated image.
-	if s.standby.Load() {
-		return nil, errStandby
 	}
 	if sess, ok := sh.sessions[id]; ok {
 		return sess, nil
@@ -268,7 +254,7 @@ func (s *Server) unlinkSession(sess *session) bool {
 func (s *Server) detach(id string, claim func() error) (*session, error) {
 	sess, err := s.getSession(id, false)
 	if err != nil {
-		if s.store == nil || !s.store.Exists(id) {
+		if !s.hasState(id) {
 			return nil, errNoSession
 		}
 		if sess, err = s.getSession(id, true); err != nil {

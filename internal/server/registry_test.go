@@ -64,8 +64,8 @@ func TestSessionStateLifecycle(t *testing.T) {
 		t.Fatalf("revive of remote session error = %v, want remoteError(http://node-b)", err)
 	}
 
-	// Adopt (an import) clears the marker: ours again.
-	s.adoptSession("a")
+	// An import clears the marker: ours again.
+	s.completeMigration("a", "")
 	if st, _ := s.SessionState("a"); st == StateRemote || st == StateMigrating {
 		t.Fatalf("adopted session still %q", st)
 	}

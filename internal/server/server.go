@@ -30,15 +30,20 @@
 //     loop owning the detector, the phase chain, durability, and the
 //     knowledge/replica hooks.
 //
-// Migration endpoints (migrate_handlers.go) move a live session to
-// another node by exporting its LPPCKPT1 checkpoint image — the disk
-// format doubles as the wire format.
+// Session images move between nodes in one format, the LPPCKPT1
+// checkpoint the disk already holds. With Config.Successor set, every
+// checkpoint streams to the session's ring successor, which keeps it
+// apart from the sessions it owns (replica_handlers.go). Whichever node
+// ends up serving a session adopts the newest image it holds before
+// the worker restores: the successor the router walks to when the
+// owner dies, or the target of a live migration (migrate_handlers.go).
 package server
 
 import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,16 +119,14 @@ type Config struct {
 	// sessions in GET /v1/sessions and SessionState; empty
 	// means a single-node deployment.
 	Advertise string
-	// Peer, when non-empty, is the base URL of a standby replica.
-	// Session checkpoints (and knowledge snapshots) stream to it
-	// asynchronously so the peer can take over after a node death;
-	// see internal/replica for the delivery contract. Requires DataDir.
-	Peer string
-	// Standby starts the server as a replication target: it refuses
-	// normal ingest with 503, accepts /v1/replica/* writes, and reports
-	// not-ready until promoted (Promote or POST /v1/replica/promote).
-	// Requires DataDir.
-	Standby bool
+	// Successor, when non-nil, turns on replication: it names the ring
+	// successor of a session — the member the router walks to when this
+	// node dies — and every checkpoint the session takes (plus knowledge
+	// snapshots) streams there asynchronously, so the successor resumes
+	// from the image instead of from scratch; see internal/replica for
+	// the delivery contract. It returns "" (or Advertise) for a session
+	// with no other member. Requires DataDir and Advertise.
+	Successor func(id string) string
 	// ReplicaQueue bounds the replication queue (default 64); overflow
 	// drops the oldest item and schedules a resync.
 	ReplicaQueue int
@@ -166,6 +169,9 @@ type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
 	store *durable.Store // nil when ephemeral
+	// replicas holds the images other nodes replicated here, keyed by
+	// replicaKey(origin, id) (replica_handlers.go); nil when ephemeral.
+	replicas *durable.Store
 
 	// shards stripes the session table by ID hash (registry.go);
 	// shardMask is len(shards)-1, a power-of-two mask.
@@ -183,22 +189,18 @@ type Server struct {
 	stopOnce sync.Once
 	reapWG   sync.WaitGroup
 
-	// standby is true until Promote; a standby refuses normal ingest
-	// and accepts /v1/replica/* writes instead. ready backs /readyz;
-	// state is the human-readable reason when not ready.
-	standby atomic.Bool
-	ready   atomic.Bool
-	stateMu sync.Mutex
-	state   string
+	// state backs /readyz: "ready", or why not ("recovering",
+	// "shutting down", ...).
+	state atomic.Value
 
-	// rep streams checkpoints to the configured peer (nil without one;
-	// installed at New on a primary, at Promote on a standby).
-	rep atomic.Pointer[replica.Replicator]
+	// repMu guards reps, one outbound Replicator per successor URL,
+	// started on first use (replica_handlers.go); nil once stopped.
+	repMu sync.Mutex
+	reps  map[string]*replica.Replicator
 
-	// replicaMu serializes replica ingest; replicaSeqs tracks the
-	// checkpoint seq held per session so stale images are ignored.
-	replicaMu   sync.Mutex
-	replicaSeqs map[string]uint64
+	// replicaMu serializes the replica image stores against the
+	// ownership checks and the adoption that read them.
+	replicaMu sync.Mutex
 
 	m metrics
 
@@ -223,13 +225,8 @@ func New(cfg Config) (*Server, error) {
 	s.remote = make(map[string]string)
 	s.migrating = make(map[string]struct{})
 	s.m.rings = make([]latencyRing, s.cfg.Shards)
-	if s.cfg.DataDir == "" {
-		if s.cfg.Peer != "" {
-			return nil, errors.New("server: replication (Peer) requires DataDir")
-		}
-		if s.cfg.Standby {
-			return nil, errors.New("server: standby mode requires DataDir")
-		}
+	if s.cfg.Successor != nil && (s.cfg.DataDir == "" || s.cfg.Advertise == "") {
+		return nil, errors.New("server: replication (Successor) requires DataDir and Advertise")
 	}
 	if s.cfg.DataDir != "" {
 		store, err := durable.Open(s.cfg.DataDir, s.cfg.FS, s.cfg.SyncWrites)
@@ -237,6 +234,9 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.store = store
+		if s.replicas, err = durable.Open(filepath.Join(s.cfg.DataDir, replicaDir), s.cfg.FS, s.cfg.SyncWrites); err != nil {
+			return nil, err
+		}
 	}
 	if s.cfg.Knowledge != nil {
 		// Wrap the chain factory so every session leads with a knowledge
@@ -273,27 +273,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.m.start = time.Now()
 	s.routes()
-	s.replicaSeqs = make(map[string]uint64)
-	s.standby.Store(s.cfg.Standby)
-	if s.cfg.Standby {
-		s.setState("standby")
-		// Seed the per-session seq table from disk so a restarted
-		// standby answers /v1/replica/status without re-receiving
-		// everything.
-		if err := s.loadReplicaSeqs(); err != nil {
-			return nil, err
-		}
-	} else {
-		s.ready.Store(true)
-		s.setState("ready")
-		if s.cfg.Peer != "" {
-			rep, err := s.newReplicator()
-			if err != nil {
-				return nil, err
-			}
-			s.rep.Store(rep)
-		}
-	}
+	s.state.Store("ready")
+	s.reps = make(map[string]*replica.Replicator)
 	if s.store != nil && s.cfg.IdleTimeout > 0 {
 		s.reapWG.Add(1)
 		go s.reap()
@@ -321,27 +302,30 @@ func (s *Server) RecoverSessions() (int, error) {
 	}
 	// WAL replay can take a while; flag it on /readyz so load balancers
 	// hold traffic until the detectors are warm.
-	s.ready.Store(false)
-	s.setState("recovering")
+	s.state.Store("recovering")
 	ids, err := s.store.List()
 	if err != nil {
-		s.setState("recovery failed: " + err.Error())
+		s.state.Store("recovery failed: " + err.Error())
 		return 0, err
 	}
 	for i, id := range ids {
 		sess, err := s.getSession(id, true)
 		if err != nil {
-			s.setState("recovery failed: " + err.Error())
+			s.state.Store("recovery failed: " + err.Error())
 			return i, fmt.Errorf("recover session %q: %w", id, err)
 		}
 		<-sess.ready
+		// Resync every successor owed images, not only those the next
+		// checkpoints reach.
+		s.replicatorFor(id)
 	}
-	if !s.standby.Load() {
-		s.setState("ready")
-		s.ready.Store(true)
-	}
+	s.state.Store("ready")
 	return len(ids), nil
 }
+
+// State returns the readiness state /readyz reports ("ready",
+// "recovering", "shutting down", ...).
+func (s *Server) State() string { return s.state.Load().(string) }
 
 // Close stops the reaper and tears every session down gracefully:
 // queued chunks are processed, then each session is checkpointed (with
@@ -350,8 +334,7 @@ func (s *Server) RecoverSessions() (int, error) {
 func (s *Server) Close() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.reapWG.Wait()
-	s.ready.Store(false)
-	s.setState("shutting down")
+	s.state.Store("shutting down")
 	// Store closed before draining: any create serialized after this
 	// point is refused inside its shard's critical section, and any
 	// create that got in first is visible to the drain.
@@ -361,11 +344,8 @@ func (s *Server) Close() {
 	}
 	s.m.sessionsActive.Store(0)
 	// Replication drains after the suspend pass so the final
-	// checkpoints reach the peer before the sender stops.
-	if rep := s.rep.Load(); rep != nil {
-		rep.Flush(5 * time.Second)
-		rep.Stop()
-	}
+	// checkpoints reach the successors before the senders stop.
+	s.stopReplication(true)
 }
 
 // Kill simulates a crash: every worker stops where it stands; nothing
@@ -379,9 +359,7 @@ func (s *Server) Kill() {
 	for _, sess := range s.drainSessions() {
 		sess.killOnce.Do(func() { close(sess.kill) })
 	}
-	if rep := s.rep.Load(); rep != nil {
-		rep.Stop() // no flush: a crash abandons the queue
-	}
+	s.stopReplication(false) // a crash abandons the queues
 }
 
 var (
@@ -392,6 +370,5 @@ var (
 	errSessionDown     = errors.New("session terminated")
 	errNotEnqueued     = errors.New("session terminated before taking the request")
 	errContended       = errors.New("session contended; retry")
-	errStandby         = errors.New("standby: not accepting ingest; promote this node or use the primary")
 	errMigrating       = errors.New("session is migrating; retry")
 )

@@ -32,11 +32,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/knowledge", s.handleKnowledge)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /v1/replica/status", s.handleReplicaStatus)
-	s.mux.HandleFunc("PUT /v1/replica/sessions/{id}", s.handleReplicaPut)
-	s.mux.HandleFunc("DELETE /v1/replica/sessions/{id}", s.handleReplicaDelete)
-	s.mux.HandleFunc("PUT /v1/replica/knowledge", s.handleReplicaKnowledge)
-	s.mux.HandleFunc("POST /v1/replica/promote", s.handleReplicaPromote)
+	if s.store != nil { // replica images are kept on disk
+		s.mux.HandleFunc("GET /v1/replica/{origin}/status", s.handleReplicaStatus)
+		s.mux.HandleFunc("PUT /v1/replica/{origin}/sessions/{id}", s.handleReplicaPut)
+		s.mux.HandleFunc("DELETE /v1/replica/{origin}/sessions/{id}", s.handleReplicaDelete)
+		s.mux.HandleFunc("PUT /v1/replica/{origin}/knowledge", s.handleReplicaKnowledge)
+	}
 	s.mux.HandleFunc("POST /v1/migrate/sessions/{id}/export", s.handleMigrateExport)
 	s.mux.HandleFunc("PUT /v1/migrate/sessions/{id}", s.handleMigrateImport)
 	s.mux.HandleFunc("POST /v1/migrate/sessions/{id}/complete", s.handleMigrateComplete)
@@ -107,7 +108,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, err := sess.roundTrip(chunk{op: opClose})
 	switch {
-	case errors.Is(err, errNotEnqueued) && (s.store == nil || !s.store.Exists(id)):
+	case errors.Is(err, errNotEnqueued) && !s.hasState(id):
 		// Dead ephemeral worker: nothing is left to flush.
 		writeResult(w, result{status: http.StatusOK})
 		return
@@ -182,7 +183,7 @@ func (s *Server) handleConsumers(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.getSession(id, false); err != nil {
 		// Only revive sessions that actually exist somewhere: in-memory
 		// miss plus no durable state is a plain 404, not a create.
-		if s.store == nil || !s.store.Exists(id) {
+		if !s.hasState(id) {
 			writeErr(w, http.StatusNotFound, err.Error())
 			return
 		}
@@ -201,6 +202,30 @@ func (s *Server) handleConsumers(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")
+}
+
+func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	state := s.State()
+	if state != "ready" {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}
+	io.WriteString(w, state+"\n")
+}
+
+// retryHintMs estimates how long a backpressured client should wait
+// before retrying: the time to drain half the session queue at the
+// recent p50 chunk latency, clamped to [5ms, 1s].
+func (s *Server) retryHintMs() int64 {
+	_, p50, _, _ := s.m.snapshot()
+	hint := time.Duration(s.cfg.QueueDepth/2+1) * p50
+	if hint < 5*time.Millisecond {
+		hint = 5 * time.Millisecond
+	}
+	if hint > time.Second {
+		hint = time.Second
+	}
+	return hint.Milliseconds()
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
