@@ -29,24 +29,26 @@ import (
 	"os"
 	"path/filepath"
 
+	"lpp/internal/codec"
 	"lpp/internal/faultfs"
 	"lpp/internal/trace"
 )
 
 const (
-	walMagic   = "LPPWAL1\n"
-	ckptMagic  = "LPPCKPT1"
-	walName    = "wal.log"
-	ckptName   = "snapshot.bin"
-	tmpSuffix  = ".tmp"
-	maxRecord  = 1 << 30
-	maxRespLen = 1 << 30
+	walMagic  = "LPPWAL1\n"
+	ckptMagic = "LPPCKPT1"
+	walName   = "wal.log"
+	ckptName  = "snapshot.bin"
+	maxRecord = 1 << 30
 )
 
 // ErrCorrupt marks state that failed validation: a bad CRC, a broken
 // frame, or a sequence gap. Distinguish it from a torn tail, which Load
 // tolerates and repairs.
 var ErrCorrupt = errors.New("durable: corrupt")
+
+// errCheckpoint marks a checkpoint whose fields fail to decode.
+var errCheckpoint = fmt.Errorf("%w: checkpoint", ErrCorrupt)
 
 // Store manages the per-session durable state under one root
 // directory.
@@ -174,7 +176,7 @@ func (l *Log) Load() (*State, error) {
 	if st.TornTail {
 		// Repair: rewrite the valid prefix so the next append starts at
 		// a clean record boundary.
-		if err := l.writeAtomic(walName, wal[:valid]); err != nil {
+		if err := faultfs.WriteFileAtomic(l.fs, filepath.Join(l.dir, walName), wal[:valid], l.sync); err != nil {
 			return st, fmt.Errorf("durable: repair torn wal: %w", err)
 		}
 	}
@@ -186,36 +188,21 @@ func parseCheckpoint(data []byte, st *State) error {
 	if len(data) < len(ckptMagic)+4 || string(data[:len(ckptMagic)]) != ckptMagic {
 		return fmt.Errorf("%w: checkpoint header", ErrCorrupt)
 	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
+	body, ok := codec.Unseal(data)
+	if !ok {
 		return fmt.Errorf("%w: checkpoint checksum", ErrCorrupt)
 	}
-	rest := body[len(ckptMagic):]
-	seq, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return fmt.Errorf("%w: checkpoint seq", ErrCorrupt)
-	}
-	rest = rest[n:]
-	snap, rest, err := readBlob(rest)
-	if err != nil {
-		return fmt.Errorf("%w: checkpoint snapshot field", ErrCorrupt)
-	}
-	resp, rest, err := readBlob(rest)
-	if err != nil || len(rest) != 0 {
-		return fmt.Errorf("%w: checkpoint response field", ErrCorrupt)
+	d := codec.NewDec(body[len(ckptMagic):], errCheckpoint)
+	seq := d.U64()
+	snap := d.Blob()
+	resp := d.Blob()
+	if err := d.Done(); err != nil {
+		return err
 	}
 	st.Seq = seq
 	st.Snapshot = snap
 	st.Response = resp
 	return nil
-}
-
-func readBlob(data []byte) (blob, rest []byte, err error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 || n > maxRespLen || n > uint64(len(data)-k) {
-		return nil, nil, errors.New("bad blob")
-	}
-	return data[k : k+int(n)], data[k+int(n):], nil
 }
 
 // parseWAL scans records into st.Entries and returns the byte offset of
@@ -340,12 +327,11 @@ func appendEvents(dst []byte, events []trace.Event) []byte {
 // as the peer-replication wire format: a replica validates the frame
 // and writes it through Checkpoint on its own store.
 func EncodeCheckpoint(seq uint64, snapshot, response []byte) []byte {
-	body := append([]byte(ckptMagic), binary.AppendUvarint(nil, seq)...)
-	body = binary.AppendUvarint(body, uint64(len(snapshot)))
-	body = append(body, snapshot...)
-	body = binary.AppendUvarint(body, uint64(len(response)))
-	body = append(body, response...)
-	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	e := codec.Enc{Buf: []byte(ckptMagic)}
+	e.U64(seq)
+	e.Blob(snapshot)
+	e.Blob(response)
+	return codec.Seal(e.Buf)
 }
 
 // DecodeCheckpoint validates and splits a checkpoint image produced by
@@ -380,11 +366,11 @@ func (l *Log) ReadCheckpoint() (seq uint64, snapshot, response []byte, err error
 // sequence number.
 func (l *Log) Checkpoint(seq uint64, snapshot, response []byte) error {
 	body := EncodeCheckpoint(seq, snapshot, response)
-	if err := l.writeAtomic(ckptName, body); err != nil {
+	if err := faultfs.WriteFileAtomic(l.fs, filepath.Join(l.dir, ckptName), body, l.sync); err != nil {
 		return fmt.Errorf("durable: checkpoint: %w", err)
 	}
 	l.closeWAL()
-	if err := l.writeAtomic(walName, []byte(walMagic)); err != nil {
+	if err := faultfs.WriteFileAtomic(l.fs, filepath.Join(l.dir, walName), []byte(walMagic), l.sync); err != nil {
 		return fmt.Errorf("durable: reset wal: %w", err)
 	}
 	return nil
@@ -427,33 +413,6 @@ func (l *Log) closeWAL() {
 		l.w.Close()
 		l.w = nil
 	}
-}
-
-// writeAtomic writes name via a temp file and rename, syncing when the
-// store syncs.
-func (l *Log) writeAtomic(name string, data []byte) error {
-	if err := l.fs.MkdirAll(l.dir, 0o755); err != nil {
-		return err
-	}
-	tmp := filepath.Join(l.dir, name+tmpSuffix)
-	f, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if l.sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return l.fs.Rename(tmp, filepath.Join(l.dir, name))
 }
 
 // byteSink is an io.Writer over a growable byte slice (bytes.Buffer

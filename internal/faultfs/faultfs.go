@@ -10,6 +10,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -60,6 +61,35 @@ func (OS) Remove(name string) error { return os.Remove(name) }
 
 // RemoveAll implements FS.
 func (OS) RemoveAll(path string) error { return os.RemoveAll(path) }
+
+// WriteFileAtomic replaces path with data so that a crash leaves either
+// the old file or the new one, never a torn mix (across power loss too
+// when sync is set): it creates the parent directory, writes
+// path+".tmp", syncs it when sync is set, and renames it over path.
+func WriteFileAtomic(fsys FS, path string, data []byte, sync bool) error {
+	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if sync {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return fsys.Rename(tmp, path)
+}
 
 // ErrInjected is the default error an armed Injector returns.
 var ErrInjected = errors.New("faultfs: injected fault")

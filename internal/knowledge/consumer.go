@@ -3,6 +3,7 @@ package knowledge
 import (
 	"fmt"
 
+	"lpp/internal/codec"
 	"lpp/internal/phase"
 	"lpp/internal/predictor"
 	"lpp/internal/sequitur"
@@ -202,80 +203,69 @@ func (c *Consumer) Report() string {
 
 const consumerSnapVersion = 1
 
-// Snapshot implements phase.Consumer.
+// Snapshot implements phase.Consumer. The grammar's rule bodies write
+// Terminal as a Num flag (online's LPPSNAP writes the same builder
+// state with byte flags).
 func (c *Consumer) Snapshot() []byte {
-	var e enc
-	e.num(consumerSnapVersion)
-	e.i64(c.terms)
-	e.i64(c.boundaries)
-	e.i64(c.lastTime)
-	if c.done {
-		e.num(1)
-	} else {
-		e.num(0)
-	}
-	e.u64(c.matched)
-	e.f64(c.score)
-	if c.earlySet {
-		e.num(1)
-	} else {
-		e.num(0)
-	}
-	encState(&e, c.early)
+	var e codec.Enc
+	e.Num(consumerSnapVersion)
+	e.I64(c.terms)
+	e.I64(c.boundaries)
+	e.I64(c.lastTime)
+	e.NumFlag(c.done)
+	e.U64(c.matched)
+	e.F64(c.score)
+	e.NumFlag(c.earlySet)
+	predictor.EncodePhases(&e, c.early.Phases)
 	st := c.b.State()
-	e.num(st.NextID)
-	e.num(len(st.Rules))
+	e.Num(st.NextID)
+	e.Num(len(st.Rules))
 	for _, r := range st.Rules {
-		e.num(r.ID)
-		e.num(len(r.Body))
+		e.Num(r.ID)
+		e.Num(len(r.Body))
 		for _, s := range r.Body {
-			if s.Terminal {
-				e.num(1)
-			} else {
-				e.num(0)
-			}
-			e.num(s.Value)
+			e.NumFlag(s.Terminal)
+			e.Num(s.Value)
 		}
 	}
-	e.num(len(st.Digrams))
+	e.Num(len(st.Digrams))
 	for _, d := range st.Digrams {
-		e.num(d.Rule)
-		e.num(d.Pos)
+		e.Num(d.Rule)
+		e.Num(d.Pos)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // Restore implements phase.Consumer.
 func (c *Consumer) Restore(data []byte) error {
-	d := &dec{buf: data}
-	if v := d.num(); d.err == nil && v != consumerSnapVersion {
+	d := codec.NewDec(data, ErrCorrupt)
+	if v := d.Num(); d.Err() == nil && v != consumerSnapVersion {
 		return fmt.Errorf("knowledge: unsupported consumer snapshot version %d", v)
 	}
-	terms := d.i64()
-	boundaries := d.i64()
-	lastTime := d.i64()
-	done := d.num()
-	matched := d.u64()
-	score := d.f64()
-	earlySet := d.num()
-	early := decState(d)
+	terms := d.I64()
+	boundaries := d.I64()
+	lastTime := d.I64()
+	done := d.NumFlag()
+	matched := d.U64()
+	score := d.F64()
+	earlySet := d.NumFlag()
+	early := predictor.State{Phases: predictor.DecodePhases(d)}
 	var st sequitur.BuilderState
-	st.NextID = d.num()
-	nRules := d.length(2)
-	for i := 0; i < nRules && d.err == nil; i++ {
-		r := sequitur.RuleState{ID: d.num()}
-		nBody := d.length(2)
-		for j := 0; j < nBody && d.err == nil; j++ {
-			term := d.num()
-			r.Body = append(r.Body, sequitur.Symbol{Terminal: term != 0, Value: d.num()})
+	st.NextID = d.Num()
+	nRules := d.Length(2)
+	for i := 0; i < nRules && d.Err() == nil; i++ {
+		r := sequitur.RuleState{ID: d.Num()}
+		nBody := d.Length(2)
+		for j := 0; j < nBody && d.Err() == nil; j++ {
+			r.Body = append(r.Body, sequitur.Symbol{Terminal: d.NumFlag(), Value: d.Num()})
 		}
 		st.Rules = append(st.Rules, r)
 	}
-	nDigrams := d.length(2)
-	for i := 0; i < nDigrams && d.err == nil; i++ {
-		st.Digrams = append(st.Digrams, sequitur.DigramState{Rule: d.num(), Pos: d.num()})
+	nDigrams := d.Length(2)
+	for i := 0; i < nDigrams && d.Err() == nil; i++ {
+		st.Digrams = append(st.Digrams, sequitur.DigramState{Rule: d.Num(), Pos: d.Num()})
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	b, err := sequitur.NewBuilderFromState(st)
@@ -286,10 +276,10 @@ func (c *Consumer) Restore(data []byte) error {
 	c.terms = terms
 	c.boundaries = boundaries
 	c.lastTime = lastTime
-	c.done = done != 0
+	c.done = done
 	c.matched = matched
 	c.score = score
-	c.earlySet = earlySet != 0
+	c.earlySet = earlySet
 	c.early = early
 	return nil
 }

@@ -1,15 +1,13 @@
 package knowledge
 
 import (
-	"encoding/binary"
+	"cmp"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
-	"path/filepath"
+	"slices"
 
-	"lpp/internal/cache"
+	"lpp/internal/codec"
 	"lpp/internal/faultfs"
 	"lpp/internal/predictor"
 	"lpp/internal/sequitur"
@@ -36,81 +34,61 @@ func (s *Store) Snapshot() []byte {
 }
 
 func (s *Store) snapshotLocked() []byte {
-	var e enc
-	e.buf = append(e.buf, snapMagic...)
-	e.num(snapVersion)
-	e.i64(s.clock)
-	e.i64(s.hits)
-	e.i64(s.misses)
-	e.i64(s.lookups)
-	e.i64(s.evictions)
-	fps := make([]uint64, 0, len(s.entries))
-	for fp := range s.entries {
-		fps = append(fps, fp)
-	}
-	sortU64(fps)
-	e.num(len(fps))
-	for _, fp := range fps {
+	e := codec.Enc{Buf: []byte(snapMagic)}
+	e.Num(snapVersion)
+	e.I64(s.clock)
+	e.I64(s.hits)
+	e.I64(s.misses)
+	e.I64(s.lookups)
+	e.I64(s.evictions)
+	e.Num(len(s.entries))
+	for _, fp := range codec.SortedKeys(s.entries) {
 		encKnowledge(&e, s.entries[fp])
 	}
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
-	s.bytes = int64(len(e.buf))
-	return e.buf
+	e.Buf = codec.Seal(e.Buf)
+	s.bytes = int64(len(e.Buf))
+	return e.Buf
 }
 
-func encKnowledge(e *enc, k *Knowledge) {
-	e.u64(k.Fingerprint)
-	e.i64(k.Boundaries)
-	e.i64(k.Hits)
-	e.i64(k.Clock)
-	e.num(len(k.Prefix))
+func encKnowledge(e *codec.Enc, k *Knowledge) {
+	e.U64(k.Fingerprint)
+	e.I64(k.Boundaries)
+	e.I64(k.Hits)
+	e.I64(k.Clock)
+	e.Num(len(k.Prefix))
 	for _, t := range k.Prefix {
-		e.num(t)
+		e.Num(t)
 	}
 	encCompact(e, k.Grammar)
-	encState(e, k.Predictor)
+	predictor.EncodePhases(e, k.Predictor.Phases)
 }
 
-func encCompact(e *enc, c sequitur.Compact) {
-	e.i64(c.Length)
-	terms := make([]int, 0, len(c.Unigrams))
-	for t := range c.Unigrams {
-		terms = append(terms, t)
-	}
-	sortInts(terms)
-	e.num(len(terms))
-	for _, t := range terms {
-		e.num(t)
-		e.i64(c.Unigrams[t])
+func encCompact(e *codec.Enc, c sequitur.Compact) {
+	e.I64(c.Length)
+	e.Num(len(c.Unigrams))
+	for _, t := range codec.SortedKeys(c.Unigrams) {
+		e.Num(t)
+		e.I64(c.Unigrams[t])
 	}
 	pairs := make([][2]int, 0, len(c.Digrams))
 	for p := range c.Digrams {
 		pairs = append(pairs, p)
 	}
-	sortPairs(pairs)
-	e.num(len(pairs))
+	slices.SortFunc(pairs, comparePairs)
+	e.Num(len(pairs))
 	for _, p := range pairs {
-		e.num(p[0])
-		e.num(p[1])
-		e.i64(c.Digrams[p])
+		e.Num(p[0])
+		e.Num(p[1])
+		e.I64(c.Digrams[p])
 	}
 }
 
-func encState(e *enc, st predictor.State) {
-	e.num(len(st.Phases))
-	for _, ps := range st.Phases {
-		e.i64(ps.ID)
-		e.num(len(ps.Lengths))
-		for _, l := range ps.Lengths {
-			e.i64(l)
-		}
-		for _, v := range ps.Locality {
-			for _, f := range v {
-				e.f64(f)
-			}
-		}
-		e.i64(ps.InstrSum)
+// comparePairs orders digram pairs lexicographically.
+func comparePairs(a, b [2]int) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
 	}
+	return cmp.Compare(a[1], b[1])
 }
 
 // RestoreSnapshot replaces the store's contents and counters with the
@@ -119,32 +97,34 @@ func (s *Store) RestoreSnapshot(data []byte) error {
 	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
 		return fmt.Errorf("%w: bad header", ErrCorrupt)
 	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
+	body, ok := codec.Unseal(data)
+	if !ok {
 		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	d := &dec{buf: body[len(snapMagic):]}
-	if v := d.num(); d.err == nil && v != snapVersion {
+	d := codec.NewDec(body[len(snapMagic):], ErrCorrupt)
+	if v := d.Num(); d.Err() == nil && v != snapVersion {
 		return fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
-	clock := d.i64()
-	hits := d.i64()
-	misses := d.i64()
-	lookups := d.i64()
-	evictions := d.i64()
-	n := d.length(2)
+	clock := d.I64()
+	hits := d.I64()
+	misses := d.I64()
+	lookups := d.I64()
+	evictions := d.I64()
+	n := d.Length(2)
 	entries := make(map[uint64]*Knowledge, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	var prev uint64
+	for i := 0; i < n && d.Err() == nil; i++ {
 		k, err := decKnowledge(d)
 		if err != nil {
 			return err
 		}
-		if _, dup := entries[k.Fingerprint]; dup {
-			return fmt.Errorf("%w: duplicate fingerprint %#x", ErrCorrupt, k.Fingerprint)
+		if i > 0 && k.Fingerprint <= prev {
+			return fmt.Errorf("%w: fingerprint %#x not above %#x", ErrCorrupt, k.Fingerprint, prev)
 		}
+		prev = k.Fingerprint
 		entries[k.Fingerprint] = k
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -164,35 +144,30 @@ func (s *Store) MergeSnapshot(data []byte) error {
 	if err := src.RestoreSnapshot(data); err != nil {
 		return err
 	}
-	fps := make([]uint64, 0, len(src.entries))
-	for fp := range src.entries {
-		fps = append(fps, fp)
-	}
-	sortU64(fps)
-	for _, fp := range fps {
+	for _, fp := range codec.SortedKeys(src.entries) {
 		s.Contribute(*src.entries[fp])
 	}
 	return nil
 }
 
-func decKnowledge(d *dec) (*Knowledge, error) {
+func decKnowledge(d *codec.Dec) (*Knowledge, error) {
 	k := &Knowledge{
-		Fingerprint: d.u64(),
-		Boundaries:  d.i64(),
-		Hits:        d.i64(),
-		Clock:       d.i64(),
+		Fingerprint: d.U64(),
+		Boundaries:  d.I64(),
+		Hits:        d.I64(),
+		Clock:       d.I64(),
 	}
-	np := d.length(1)
-	if d.err == nil && np > PrefixTerms {
-		d.fail("prefix too long")
+	np := d.Length(1)
+	if d.Err() == nil && np > PrefixTerms {
+		d.Fail("prefix too long")
 	}
-	for i := 0; i < np && d.err == nil; i++ {
-		k.Prefix = append(k.Prefix, d.num())
+	for i := 0; i < np && d.Err() == nil; i++ {
+		k.Prefix = append(k.Prefix, d.Num())
 	}
 	k.Grammar = decCompact(d)
-	k.Predictor = decState(d)
-	if d.err != nil {
-		return nil, d.err
+	k.Predictor = predictor.State{Phases: predictor.DecodePhases(d)}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if k.Grammar.Fingerprint() != k.Fingerprint {
 		return nil, fmt.Errorf("%w: fingerprint %#x does not match grammar", ErrCorrupt, k.Fingerprint)
@@ -208,57 +183,27 @@ func decKnowledge(d *dec) (*Knowledge, error) {
 	return k, nil
 }
 
-func decCompact(d *dec) sequitur.Compact {
-	c := sequitur.Compact{Length: d.i64()}
-	nu := d.length(2)
+func decCompact(d *codec.Dec) sequitur.Compact {
+	c := sequitur.Compact{Length: d.I64()}
+	nu := d.Length(2)
 	c.Unigrams = make(map[int]int64, nu)
-	prev := math.MinInt
-	for i := 0; i < nu && d.err == nil; i++ {
-		t := d.num()
-		if t <= prev {
-			d.fail("unigram terms not ascending")
-			break
-		}
-		prev = t
-		c.Unigrams[t] = d.i64()
+	for i, t := 0, 0; i < nu && d.Err() == nil; i++ {
+		t = d.Key(i, t)
+		c.Unigrams[t] = d.I64()
 	}
-	nd := d.length(3)
+	nd := d.Length(3)
 	c.Digrams = make(map[[2]int]int64, nd)
-	prevPair := [2]int{math.MinInt, math.MinInt}
-	for i := 0; i < nd && d.err == nil; i++ {
-		p := [2]int{d.num(), d.num()}
-		if p[0] < prevPair[0] || (p[0] == prevPair[0] && p[1] <= prevPair[1]) {
-			d.fail("digram pairs not ascending")
+	var prev [2]int
+	for i := 0; i < nd && d.Err() == nil; i++ {
+		p := [2]int{d.Num(), d.Num()}
+		if i > 0 && comparePairs(p, prev) <= 0 {
+			d.Fail("digram pairs not ascending")
 			break
 		}
-		prevPair = p
-		c.Digrams[p] = d.i64()
+		prev = p
+		c.Digrams[p] = d.I64()
 	}
 	return c
-}
-
-func decState(d *dec) predictor.State {
-	var st predictor.State
-	n := d.length(2)
-	for i := 0; i < n && d.err == nil; i++ {
-		ps := predictor.PhaseState{ID: d.i64()}
-		m := d.length(1)
-		ps.Lengths = make([]int64, 0, m)
-		for j := 0; j < m && d.err == nil; j++ {
-			ps.Lengths = append(ps.Lengths, d.i64())
-		}
-		ps.Locality = make([]cache.Vector, 0, m)
-		for j := 0; j < m && d.err == nil; j++ {
-			var v cache.Vector
-			for x := range v {
-				v[x] = d.f64()
-			}
-			ps.Locality = append(ps.Locality, v)
-		}
-		ps.InstrSum = d.i64()
-		st.Phases = append(st.Phases, ps)
-	}
-	return st
 }
 
 // Open returns a store backed by the file at path, loading existing
@@ -286,36 +231,15 @@ func Open(path string, fsys faultfs.FS, cfg Config) (*Store, error) {
 }
 
 // Persist atomically writes the store's snapshot to its backing file
-// (write temp + rename, the durable-layer idiom). It is a no-op for
-// stores without a path.
+// (faultfs.WriteFileAtomic, synced). It is a no-op for stores without
+// a path.
 func (s *Store) Persist() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.path == "" {
 		return nil
 	}
-	data := s.snapshotLocked()
-	dir := filepath.Dir(s.path)
-	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("knowledge: persist: %w", err)
-	}
-	tmp := s.path + ".tmp"
-	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("knowledge: persist: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("knowledge: persist: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("knowledge: persist: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("knowledge: persist: %w", err)
-	}
-	if err := s.fs.Rename(tmp, s.path); err != nil {
+	if err := faultfs.WriteFileAtomic(s.fs, s.path, s.snapshotLocked(), true); err != nil {
 		return fmt.Errorf("knowledge: persist: %w", err)
 	}
 	return nil

@@ -5,16 +5,11 @@ import (
 )
 
 // AccessBatch feeds a decoded chunk of trace events to the detector in
-// one call. It is exactly equivalent to calling Block/Access once per
-// event in order — the golden-trace suite pins that equivalence on all
-// nine workloads plus the hostile tier — but it amortizes the per-event
-// cost the streaming server would otherwise pay: no Instrumenter
-// interface dispatch per event, and each run of consecutive data
-// accesses goes through one fused loop doing analyzer access, eviction,
-// and sampling together (step), with no intermediate address or
-// distance buffers. Load shedding (stride > 1) is handled inside the
-// same fused loop, so the degraded regime batches exactly like the
-// healthy one.
+// one call: one loop over the events, calling Block for a block event
+// and step, the body of Access, for an access. It is therefore exactly
+// the per-event Block/Access sequence, without the Instrumenter
+// interface dispatch per event. Load shedding (stride > 1) lives in
+// step, so the degraded regime batches exactly like the healthy one.
 //
 // Allocation: the dispatch loop and the analyzer half of step (the
 // last-access index probe, Fenwick update, compaction, and the
@@ -32,22 +27,12 @@ import (
 // allocations per 8K-event chunk; TestAccessBatchAmortizedAllocs
 // bounds it per event on a real trace.
 func (d *Detector) AccessBatch(events []trace.Event) {
-	i := 0
-	for i < len(events) {
-		if events[i].Kind == trace.EventBlock {
-			d.blocks++
-			d.instrs += int64(events[i].Instrs)
-			i++
-			continue
+	for i := range events {
+		if ev := &events[i]; ev.Kind == trace.EventBlock {
+			d.Block(ev.Block, ev.Instrs)
+		} else {
+			d.step(ev.Addr)
 		}
-		j := i + 1
-		for j < len(events) && events[j].Kind == trace.EventAccess {
-			j++
-		}
-		for k := i; k < j; k++ {
-			d.step(events[k].Addr)
-		}
-		i = j
 	}
 }
 
@@ -55,10 +40,10 @@ func (d *Detector) AccessBatch(events []trace.Event) {
 // its columns, without materializing []trace.Event: the kinds bitmap is
 // walked in stream order, block events fold their counters from the
 // dense block columns, and each maximal run of accesses streams the
-// address column through the same fused step loop AccessBatch uses.
+// address column through step, the per-access body AccessBatch calls.
 // The golden suites pin AccessColumns bit-identical to the per-event
 // and row-batch paths. The column walk adds no allocation of its own;
-// what the step loop allocates is as described on AccessBatch.
+// what step allocates is as described on AccessBatch.
 func (d *Detector) AccessColumns(c *trace.Columns) {
 	ai, bi := 0, 0
 	i := 0

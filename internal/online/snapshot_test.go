@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"lpp/internal/codec"
 	"lpp/internal/phase"
 	"lpp/internal/trace"
 	"lpp/internal/workload"
@@ -213,4 +214,29 @@ func FuzzSnapshotRestore(f *testing.F) {
 		nd.Flush()
 		nd.Snapshot()
 	})
+}
+
+// TestIntSetRejectsUnwrittenBytes pins that a page-signature set
+// decodes only from strictly ascending members, the one order
+// encIntSet writes: duplicates and unordered members are corrupt.
+func TestIntSetRejectsUnwrittenBytes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"ascending", []byte{0x04, 0x02, 0x04}, true},
+		{"unordered", []byte{0x04, 0x04, 0x02}, false},
+		{"duplicate", []byte{0x04, 0x02, 0x02}, false},
+	} {
+		d := codec.NewDec(c.data, ErrSnapshotCorrupt)
+		set := decIntSet(d)
+		err := d.Done()
+		switch {
+		case c.ok && (err != nil || len(set) != 2):
+			t.Errorf("%s: decoded %v, %v", c.name, set, err)
+		case !c.ok && !errors.Is(err, ErrSnapshotCorrupt):
+			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt", c.name, err)
+		}
+	}
 }

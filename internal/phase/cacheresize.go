@@ -5,6 +5,7 @@ import (
 
 	"lpp/internal/adapt"
 	"lpp/internal/cache"
+	"lpp/internal/codec"
 )
 
 // DefaultResizeBound is the paper's 5% miss-increase budget for
@@ -117,47 +118,44 @@ const resizeSnapVersion = 1
 
 // Snapshot implements Consumer.
 func (c *CacheResizer) Snapshot() []byte {
-	var e enc
-	e.num(resizeSnapVersion)
-	e.i64(c.prevTime)
-	e.i64(c.explorations)
-	e.f64(c.bytesSum)
-	e.f64(c.lenSum)
-	e.f64(c.misses)
-	e.f64(c.fullMisses)
-	e.num(len(c.groups))
-	for _, ph := range sortedKeys(c.groups) {
+	var e codec.Enc
+	e.Num(resizeSnapVersion)
+	e.I64(c.prevTime)
+	e.I64(c.explorations)
+	e.F64(c.bytesSum)
+	e.F64(c.lenSum)
+	e.F64(c.misses)
+	e.F64(c.fullMisses)
+	e.Num(len(c.groups))
+	for _, ph := range codec.SortedKeys(c.groups) {
 		g := c.groups[ph]
-		e.num(ph)
-		e.i64(g.seen)
-		e.i64(g.learned)
+		e.Num(ph)
+		e.I64(g.seen)
+		e.I64(g.learned)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // Restore implements Consumer.
 func (c *CacheResizer) Restore(data []byte) error {
-	d := &dec{buf: data}
-	if v := d.num(); d.err == nil && v != resizeSnapVersion {
+	d := codec.NewDec(data, ErrSnapshotCorrupt)
+	if v := d.Num(); d.Err() == nil && v != resizeSnapVersion {
 		return fmt.Errorf("phase: unsupported cacheresize snapshot version %d", v)
 	}
-	prevTime := d.i64()
-	explorations := d.i64()
-	bytesSum := d.f64()
-	lenSum := d.f64()
-	misses := d.f64()
-	fullMisses := d.f64()
-	n := d.length(3)
+	prevTime := d.I64()
+	explorations := d.I64()
+	bytesSum := d.F64()
+	lenSum := d.F64()
+	misses := d.F64()
+	fullMisses := d.F64()
+	n := d.Length(3)
 	groups := make(map[int]*resizeState, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		ph := d.num()
-		groups[ph] = &resizeState{seen: d.i64(), learned: d.i64()}
+	for i, ph := 0, 0; i < n && d.Err() == nil; i++ {
+		ph = d.Key(i, ph)
+		groups[ph] = &resizeState{seen: d.I64(), learned: d.I64()}
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
-	}
-	if len(groups) != n {
-		return fmt.Errorf("%w: duplicate resize group", ErrSnapshotCorrupt)
 	}
 	c.prevTime = prevTime
 	c.explorations = explorations

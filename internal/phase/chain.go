@@ -1,11 +1,16 @@
 package phase
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"strings"
+
+	"lpp/internal/codec"
 )
+
+// ErrSnapshotCorrupt reports a consumer or chain snapshot that fails
+// structural validation; it is never partially applied.
+var ErrSnapshotCorrupt = errors.New("phase: snapshot corrupt")
 
 // Chain fans one event stream out to an ordered list of consumers with
 // per-consumer error isolation: a consumer that returns an error or
@@ -91,18 +96,15 @@ const (
 // counters. Deterministic: the same chain state always yields the same
 // bytes.
 func (c *Chain) Snapshot() []byte {
-	var e enc
-	e.buf = append(e.buf, chainMagic...)
-	e.buf = append(e.buf, chainVersion)
-	e.num(len(c.consumers))
+	e := codec.Enc{Buf: append([]byte(chainMagic), chainVersion)}
+	e.Num(len(c.consumers))
 	for i, cons := range c.consumers {
-		e.str(c.stats[i].Name)
-		e.i64(c.stats[i].Consumed)
-		e.i64(c.stats[i].Errors)
-		e.bytes(cons.Snapshot())
+		e.Str(c.stats[i].Name)
+		e.I64(c.stats[i].Consumed)
+		e.I64(c.stats[i].Errors)
+		e.Bytes(cons.Snapshot())
 	}
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
-	return e.buf
+	return codec.Seal(e.Buf)
 }
 
 // Restore replaces the chain's state with a decoded snapshot. The
@@ -121,26 +123,26 @@ func (c *Chain) Restore(data []byte) error {
 	if v := data[len(chainMagic)]; v != chainVersion {
 		return fmt.Errorf("phase: unsupported chain snapshot version %d", v)
 	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
+	body, ok := codec.Unseal(data)
+	if !ok {
 		return fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
 	}
-	d := &dec{buf: body, off: header}
-	n := d.num()
-	if d.err == nil && n != len(c.consumers) {
+	d := codec.NewDec(body[header:], ErrSnapshotCorrupt)
+	n := d.Num()
+	if d.Err() == nil && n != len(c.consumers) {
 		return fmt.Errorf("phase: snapshot has %d consumers, chain has %d", n, len(c.consumers))
 	}
 	stats := make([]ConsumerStats, len(c.consumers))
 	states := make([][]byte, len(c.consumers))
-	for i := 0; i < len(c.consumers) && d.err == nil; i++ {
-		name := d.str()
-		if d.err == nil && name != c.stats[i].Name {
+	for i := 0; i < len(c.consumers) && d.Err() == nil; i++ {
+		name := d.Str()
+		if d.Err() == nil && name != c.stats[i].Name {
 			return fmt.Errorf("phase: snapshot consumer %d is %q, chain has %q", i, name, c.stats[i].Name)
 		}
-		stats[i] = ConsumerStats{Name: name, Consumed: d.i64(), Errors: d.i64()}
-		states[i] = d.bytesField()
+		stats[i] = ConsumerStats{Name: name, Consumed: d.I64(), Errors: d.I64()}
+		states[i] = d.Bytes()
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	// Each consumer's Restore is atomic, but a failure here can leave

@@ -5,6 +5,7 @@ import (
 
 	"lpp/internal/adapt"
 	"lpp/internal/cache"
+	"lpp/internal/codec"
 )
 
 // DefaultDVFSBound is the default 5% slowdown budget for frequency
@@ -106,47 +107,44 @@ const dvfsSnapVersion = 1
 
 // Snapshot implements Consumer.
 func (c *DVFSConsumer) Snapshot() []byte {
-	var e enc
-	e.num(dvfsSnapVersion)
-	e.i64(c.prevTime)
-	e.f64(c.baseTime)
-	e.f64(c.newTime)
-	e.f64(c.freqTime)
-	e.f64(c.baseEnergy)
-	e.f64(c.newEnergy)
-	e.num(len(c.learned))
-	for _, ph := range sortedKeys(c.learned) {
+	var e codec.Enc
+	e.Num(dvfsSnapVersion)
+	e.I64(c.prevTime)
+	e.F64(c.baseTime)
+	e.F64(c.newTime)
+	e.F64(c.freqTime)
+	e.F64(c.baseEnergy)
+	e.F64(c.newEnergy)
+	e.Num(len(c.learned))
+	for _, ph := range codec.SortedKeys(c.learned) {
 		st := c.learned[ph]
-		e.num(ph)
-		e.i64(st.seen)
-		e.f64(st.f)
+		e.Num(ph)
+		e.I64(st.seen)
+		e.F64(st.f)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // Restore implements Consumer.
 func (c *DVFSConsumer) Restore(data []byte) error {
-	d := &dec{buf: data}
-	if v := d.num(); d.err == nil && v != dvfsSnapVersion {
+	d := codec.NewDec(data, ErrSnapshotCorrupt)
+	if v := d.Num(); d.Err() == nil && v != dvfsSnapVersion {
 		return fmt.Errorf("phase: unsupported dvfs snapshot version %d", v)
 	}
-	prevTime := d.i64()
-	baseTime := d.f64()
-	newTime := d.f64()
-	freqTime := d.f64()
-	baseEnergy := d.f64()
-	newEnergy := d.f64()
-	n := d.length(10)
+	prevTime := d.I64()
+	baseTime := d.F64()
+	newTime := d.F64()
+	freqTime := d.F64()
+	baseEnergy := d.F64()
+	newEnergy := d.F64()
+	n := d.Length(10)
 	learned := make(map[int]*dvfsState, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		ph := d.num()
-		learned[ph] = &dvfsState{seen: d.i64(), f: d.f64()}
+	for i, ph := 0, 0; i < n && d.Err() == nil; i++ {
+		ph = d.Key(i, ph)
+		learned[ph] = &dvfsState{seen: d.I64(), f: d.F64()}
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
-	}
-	if len(learned) != n {
-		return fmt.Errorf("%w: duplicate dvfs group", ErrSnapshotCorrupt)
 	}
 	c.prevTime = prevTime
 	c.baseTime, c.newTime, c.freqTime = baseTime, newTime, freqTime

@@ -3,7 +3,7 @@ package phase
 import (
 	"fmt"
 
-	"lpp/internal/cache"
+	"lpp/internal/codec"
 	"lpp/internal/marker"
 	"lpp/internal/predictor"
 )
@@ -142,79 +142,55 @@ const predictorSnapVersion = 1
 
 // Snapshot implements Consumer.
 func (c *PredictorConsumer) Snapshot() []byte {
-	var e enc
-	e.num(predictorSnapVersion)
-	e.i64(c.prevTime)
-	e.i64(c.prevInstr)
-	e.i64(c.predicted)
-	e.i64(c.predHits)
-	e.i64(c.predMisses)
+	var e codec.Enc
+	e.Num(predictorSnapVersion)
+	e.I64(c.prevTime)
+	e.I64(c.prevInstr)
+	e.I64(c.predicted)
+	e.I64(c.predHits)
+	e.I64(c.predMisses)
 	st := c.pred.State()
-	e.num(len(st.Phases))
-	for _, ps := range st.Phases {
-		e.i64(ps.ID)
-		e.num(len(ps.Lengths))
-		for _, l := range ps.Lengths {
-			e.i64(l)
-		}
-		for _, v := range ps.Locality {
-			encVector(&e, v)
-		}
-		e.i64(ps.InstrSum)
-	}
-	e.num(len(st.Pending))
+	predictor.EncodePhases(&e, st.Phases)
+	e.Num(len(st.Pending))
 	for _, ps := range st.Pending {
-		e.i64(ps.ID)
-		e.i64(ps.Instructions)
-		encVector(&e, ps.Locality)
+		e.I64(ps.ID)
+		e.I64(ps.Instructions)
+		for _, f := range ps.Locality {
+			e.F64(f)
+		}
 	}
-	e.i64(st.Predictions)
-	e.i64(st.Correct)
-	e.i64(st.CoveredInstrs)
-	e.i64(st.TotalInstrs)
-	return e.buf
+	e.I64(st.Predictions)
+	e.I64(st.Correct)
+	e.I64(st.CoveredInstrs)
+	e.I64(st.TotalInstrs)
+	return e.Buf
 }
 
 // Restore implements Consumer.
 func (c *PredictorConsumer) Restore(data []byte) error {
-	d := &dec{buf: data}
-	if v := d.num(); d.err == nil && v != predictorSnapVersion {
+	d := codec.NewDec(data, ErrSnapshotCorrupt)
+	if v := d.Num(); d.Err() == nil && v != predictorSnapVersion {
 		return fmt.Errorf("phase: unsupported predictor snapshot version %d", v)
 	}
-	prevTime := d.i64()
-	prevInstr := d.i64()
-	predicted := d.i64()
-	predHits := d.i64()
-	predMisses := d.i64()
-	var st predictor.State
-	nPhases := d.length(2)
-	for i := 0; i < nPhases && d.err == nil; i++ {
-		ps := predictor.PhaseState{ID: d.i64()}
-		n := d.length(1)
-		ps.Lengths = make([]int64, 0, n)
-		for j := 0; j < n && d.err == nil; j++ {
-			ps.Lengths = append(ps.Lengths, d.i64())
+	prevTime := d.I64()
+	prevInstr := d.I64()
+	predicted := d.I64()
+	predHits := d.I64()
+	predMisses := d.I64()
+	st := predictor.State{Phases: predictor.DecodePhases(d)}
+	nPending := d.Length(2)
+	for i := 0; i < nPending && d.Err() == nil; i++ {
+		ps := predictor.PendingState{ID: d.I64(), Instructions: d.I64()}
+		for x := range ps.Locality {
+			ps.Locality[x] = d.F64()
 		}
-		ps.Locality = make([]cache.Vector, 0, n)
-		for j := 0; j < n && d.err == nil; j++ {
-			ps.Locality = append(ps.Locality, decVector(d))
-		}
-		ps.InstrSum = d.i64()
-		st.Phases = append(st.Phases, ps)
+		st.Pending = append(st.Pending, ps)
 	}
-	nPending := d.length(2)
-	for i := 0; i < nPending && d.err == nil; i++ {
-		st.Pending = append(st.Pending, predictor.PendingState{
-			ID:           d.i64(),
-			Instructions: d.i64(),
-			Locality:     decVector(d),
-		})
-	}
-	st.Predictions = d.i64()
-	st.Correct = d.i64()
-	st.CoveredInstrs = d.i64()
-	st.TotalInstrs = d.i64()
-	if err := d.done(); err != nil {
+	st.Predictions = d.I64()
+	st.Correct = d.I64()
+	st.CoveredInstrs = d.I64()
+	st.TotalInstrs = d.I64()
+	if err := d.Done(); err != nil {
 		return err
 	}
 	pred, err := predictor.NewFromState(c.policy, st)
@@ -225,18 +201,4 @@ func (c *PredictorConsumer) Restore(data []byte) error {
 	c.prevTime, c.prevInstr = prevTime, prevInstr
 	c.predicted, c.predHits, c.predMisses = predicted, predHits, predMisses
 	return nil
-}
-
-func encVector(e *enc, v cache.Vector) {
-	for _, f := range v {
-		e.f64(f)
-	}
-}
-
-func decVector(d *dec) cache.Vector {
-	var v cache.Vector
-	for i := range v {
-		v[i] = d.f64()
-	}
-	return v
 }

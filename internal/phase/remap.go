@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lpp/internal/affinity"
+	"lpp/internal/codec"
 )
 
 // RemapConsumer plans per-phase memory remapping (Section 4.3): each
@@ -79,39 +80,37 @@ const remapSnapVersion = 1
 
 // Snapshot implements Consumer.
 func (c *RemapConsumer) Snapshot() []byte {
-	var e enc
-	e.num(remapSnapVersion)
-	e.i64(c.planned)
-	e.i64(c.installs)
-	e.i64(c.plannedAhead)
-	e.i64(c.mispredicts)
-	e.num(len(c.phases))
-	for _, ph := range sortedKeys(c.phases) {
-		e.num(ph)
+	var e codec.Enc
+	e.Num(remapSnapVersion)
+	e.I64(c.planned)
+	e.I64(c.installs)
+	e.I64(c.plannedAhead)
+	e.I64(c.mispredicts)
+	e.Num(len(c.phases))
+	for _, ph := range codec.SortedKeys(c.phases) {
+		e.Num(ph)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // Restore implements Consumer.
 func (c *RemapConsumer) Restore(data []byte) error {
-	d := &dec{buf: data}
-	if v := d.num(); d.err == nil && v != remapSnapVersion {
+	d := codec.NewDec(data, ErrSnapshotCorrupt)
+	if v := d.Num(); d.Err() == nil && v != remapSnapVersion {
 		return fmt.Errorf("phase: unsupported remap snapshot version %d", v)
 	}
-	planned := d.i64()
-	installs := d.i64()
-	plannedAhead := d.i64()
-	mispredicts := d.i64()
-	n := d.length(1)
+	planned := d.I64()
+	installs := d.I64()
+	plannedAhead := d.I64()
+	mispredicts := d.I64()
+	n := d.Length(1)
 	phases := make(map[int]bool, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		phases[d.num()] = true
+	for i, ph := 0, 0; i < n && d.Err() == nil; i++ {
+		ph = d.Key(i, ph)
+		phases[ph] = true
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
-	}
-	if len(phases) != n {
-		return fmt.Errorf("%w: duplicate remap phase", ErrSnapshotCorrupt)
 	}
 	c.planned = planned
 	c.installs, c.plannedAhead, c.mispredicts = installs, plannedAhead, mispredicts

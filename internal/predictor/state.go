@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lpp/internal/cache"
+	"lpp/internal/codec"
 	"lpp/internal/marker"
 )
 
@@ -101,6 +102,53 @@ func NewFromState(policy Policy, st State) (*Predictor, error) {
 	p.coveredInstrs = st.CoveredInstrs
 	p.totalInstrs = st.TotalInstrs
 	return p, nil
+}
+
+// EncodePhases writes phase histories in the one layout every state
+// format shares (the predictor consumer, knowledge entries, the
+// knowledge consumer's early capture): the count, then per phase its
+// ID, history length, lengths, locality vectors and instruction sum.
+func EncodePhases(e *codec.Enc, phases []PhaseState) {
+	e.Num(len(phases))
+	for _, ps := range phases {
+		e.I64(ps.ID)
+		e.Num(len(ps.Lengths))
+		for _, l := range ps.Lengths {
+			e.I64(l)
+		}
+		for _, v := range ps.Locality {
+			for _, f := range v {
+				e.F64(f)
+			}
+		}
+		e.I64(ps.InstrSum)
+	}
+}
+
+// DecodePhases reads phase histories written by EncodePhases. It checks
+// structure only; NewFromState validates the histories.
+func DecodePhases(d *codec.Dec) []PhaseState {
+	var phases []PhaseState
+	n := d.Length(2)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		ps := PhaseState{ID: d.I64()}
+		m := d.Length(1)
+		ps.Lengths = make([]int64, 0, m)
+		for j := 0; j < m && d.Err() == nil; j++ {
+			ps.Lengths = append(ps.Lengths, d.I64())
+		}
+		ps.Locality = make([]cache.Vector, 0, m)
+		for j := 0; j < m && d.Err() == nil; j++ {
+			var v cache.Vector
+			for x := range v {
+				v[x] = d.F64()
+			}
+			ps.Locality = append(ps.Locality, v)
+		}
+		ps.InstrSum = d.I64()
+		phases = append(phases, ps)
+	}
+	return phases
 }
 
 // sortByID sorts in place by an extracted int64 key.

@@ -7,8 +7,9 @@ package server
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 
+	"lpp/internal/codec"
 	"lpp/internal/online"
 	"lpp/internal/replica"
 )
@@ -135,14 +136,15 @@ const busMagic = "LPPBUS1"
 // frameSnapshot combines a detector snapshot and a chain snapshot into
 // one checkpoint image.
 func frameSnapshot(det, chain []byte) []byte {
-	buf := make([]byte, 0, len(busMagic)+len(det)+len(chain)+2*binary.MaxVarintLen64)
-	buf = append(buf, busMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(det)))
-	buf = append(buf, det...)
-	buf = binary.AppendUvarint(buf, uint64(len(chain)))
-	buf = append(buf, chain...)
-	return buf
+	e := codec.Enc{Buf: make([]byte, 0, len(busMagic)+len(det)+len(chain)+2*binary.MaxVarintLen64)}
+	e.Buf = append(e.Buf, busMagic...)
+	e.Blob(det)
+	e.Blob(chain)
+	return e.Buf
 }
+
+// errBusImage marks a combined snapshot whose framing fails to decode.
+var errBusImage = errors.New("corrupt combined snapshot")
 
 // splitSnapshot separates a checkpoint image into its detector and
 // chain parts. A raw (legacy, chain-less) detector snapshot returns
@@ -151,24 +153,10 @@ func splitSnapshot(data []byte) (det, chain []byte, framed bool, err error) {
 	if len(data) < len(busMagic) || string(data[:len(busMagic)]) != busMagic {
 		return data, nil, false, nil
 	}
-	rest := data[len(busMagic):]
-	next := func() ([]byte, error) {
-		n, used := binary.Uvarint(rest)
-		if used <= 0 || n > uint64(len(rest)-used) {
-			return nil, fmt.Errorf("corrupt combined snapshot")
-		}
-		part := rest[used : used+int(n)]
-		rest = rest[used+int(n):]
-		return part, nil
-	}
-	if det, err = next(); err != nil {
+	d := codec.NewDec(data[len(busMagic):], errBusImage)
+	det, chain = d.Blob(), d.Blob()
+	if err := d.Done(); err != nil {
 		return nil, nil, true, err
-	}
-	if chain, err = next(); err != nil {
-		return nil, nil, true, err
-	}
-	if len(rest) != 0 {
-		return nil, nil, true, fmt.Errorf("corrupt combined snapshot: %d trailing bytes", len(rest))
 	}
 	return det, chain, true, nil
 }
