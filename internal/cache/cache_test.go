@@ -1,11 +1,13 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"lpp/internal/stats"
 	"lpp/internal/trace"
+	"lpp/internal/workload"
 )
 
 func TestSizes(t *testing.T) {
@@ -201,6 +203,43 @@ func BenchmarkMultiAssocAccess(b *testing.B) {
 	}
 }
 
+// firstAccesses records the first n data accesses of a run.
+type firstAccesses struct {
+	addrs []trace.Addr
+}
+
+func (f *firstAccesses) Block(trace.BlockID, int) {}
+
+func (f *firstAccesses) Access(a trace.Addr) {
+	if len(f.addrs) < cap(f.addrs) {
+		f.addrs = append(f.addrs, a)
+	}
+}
+
+// BenchmarkMultiAssocAccessBatch feeds the simulator the first 4M
+// accesses of the tomcatv Ref address stream in 8K-access batches, the
+// way the marked Ref run of core.Predict does, and reports ns per
+// access.
+func BenchmarkMultiAssocAccessBatch(b *testing.B) {
+	spec, err := workload.ByName("tomcatv")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := &firstAccesses{addrs: make([]trace.Addr, 0, 1<<22)}
+	spec.Make(spec.Ref).Run(rec)
+	addrs := rec.addrs
+	const batch = 1 << 13
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewDefault()
+		for lo := 0; lo < len(addrs); lo += batch {
+			m.AccessBatch(addrs[lo:min(lo+batch, len(addrs))])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(addrs)), "ns/access")
+}
+
 func TestSpread(t *testing.T) {
 	same := []Vector{{0.1, 0.2}, {0.1, 0.2}}
 	if got := Spread(same); got != 0 {
@@ -269,5 +308,28 @@ func TestSetAssocMissRateEmpty(t *testing.T) {
 	c := NewSetAssoc(4, 1, 6)
 	if c.MissRate() != 0 {
 		t.Error("empty cache miss rate should be 0")
+	}
+}
+
+// TestAccessBatchMatchesAccess: feeding a stream through AccessBatch in
+// ragged batches leaves the simulator exactly as one Access per address
+// does — counters, stacks and locality vector.
+func TestAccessBatchMatchesAccess(t *testing.T) {
+	rng := stats.NewRNG(19)
+	addrs := make([]trace.Addr, 50_000)
+	for i := range addrs {
+		addrs[i] = trace.Addr(rng.Intn(1 << 18))
+	}
+	one, batched := NewMultiAssoc(16, 8, 4), NewMultiAssoc(16, 8, 4)
+	for _, a := range addrs {
+		one.Access(a)
+	}
+	for lo := 0; lo < len(addrs); {
+		hi := min(lo+rng.Intn(300), len(addrs))
+		batched.AccessBatch(addrs[lo:hi])
+		lo = hi
+	}
+	if !reflect.DeepEqual(one, batched) {
+		t.Fatal("AccessBatch state diverges from per-access Access")
 	}
 }

@@ -41,24 +41,47 @@ func NewDefault() *MultiAssoc {
 
 // Access references addr, updating the per-depth hit counters.
 func (m *MultiAssoc) Access(addr trace.Addr) {
-	m.accesses++
-	blk := addr >> m.blockBits
-	set := int(blk) & (m.sets - 1)
-	stack := m.stacks[set]
-	for i, b := range stack {
-		if b == blk {
-			m.depthHits[i]++
-			copy(stack[1:i+1], stack[:i])
-			stack[0] = blk
-			return
+	m.AccessBatch([]trace.Addr{addr})
+}
+
+// AccessBatch references every address of addrs in order, exactly as
+// that many Access calls would. It is the simulator's hot loop: the
+// marked Ref run feeds it whole batches of accesses between marker
+// firings, so the geometry is read once per batch and no access pays
+// an interface dispatch.
+func (m *MultiAssoc) AccessBatch(addrs []trace.Addr) {
+	shift, mask := m.blockBits, trace.Addr(m.sets-1)
+	stacks, depthHits, maxAssoc := m.stacks, m.depthHits, m.maxAssoc
+next:
+	for _, addr := range addrs {
+		blk := addr >> shift
+		set := blk & mask
+		stack := stacks[set]
+		for i, b := range stack {
+			if b == blk {
+				depthHits[i]++
+				shiftDown(stack[:i+1])
+				stack[0] = blk
+				continue next
+			}
 		}
+		if len(stack) < maxAssoc {
+			stack = append(stack, 0)
+			stacks[set] = stack
+		}
+		shiftDown(stack)
+		stack[0] = blk
 	}
-	if len(stack) < m.maxAssoc {
-		stack = append(stack, 0)
+	m.accesses += uint64(len(addrs))
+}
+
+// shiftDown moves s[:len(s)-1] one slot toward the end, dropping the
+// last element: an LRU stack's move-to-front. Stacks hold at most
+// MaxAssoc blocks, so a plain loop beats a memmove call.
+func shiftDown(s []trace.Addr) {
+	for i := len(s) - 1; i > 0; i-- {
+		s[i] = s[i-1]
 	}
-	copy(stack[1:], stack)
-	stack[0] = blk
-	m.stacks[set] = stack
 }
 
 // Block implements trace.Instrumenter (blocks are ignored).

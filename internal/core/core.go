@@ -48,11 +48,14 @@ type Config struct {
 	// programs whose phase lengths cannot be predicted. The detected
 	// phases are then typically flagged inconsistent.
 	KeepIrregular bool
-	// Workers bounds the worker pool the off-line analysis may use:
-	// Detect pipelines trace generation with the exact reuse-distance
-	// analysis and fans the per-data-sample wavelet filtering out
-	// across min(Workers, GOMAXPROCS-equivalent) goroutines. 0 means
-	// GOMAXPROCS; 1 forces the strictly sequential path. Results are
+	// Workers bounds the worker pool Detect may use: it pipelines
+	// trace generation with the exact reuse-distance analysis and fans
+	// the per-data-sample wavelet filtering out across
+	// min(Workers, GOMAXPROCS-equivalent) goroutines. 0 means
+	// GOMAXPROCS; 1 forces Detect's strictly sequential path. The
+	// predicted runs (Predict, PredictAll, PredictAllWith,
+	// PredictStatistical) take no Config: they always pipeline the
+	// marked run with its cache simulation. Every output is
 	// bit-identical at every setting.
 	Workers int
 }

@@ -17,6 +17,15 @@ import (
 // crunching long before the workload finishes.
 const distBatch = 1 << 13
 
+// pipeDepth is how many batches a pipeline's channel buffers between
+// the producer and the consumer: 64K accesses of slack, so neither side
+// stalls on the other's momentary slowdowns. Its free list holds
+// pipeDepth+2, every batch that can be in circulation (those in the
+// channel, the one being consumed and the one being filled), so the
+// consumer never drops a used batch and the producer allocates at most
+// that many.
+const pipeDepth = 8
+
 // distPipeline is a trace.Instrumenter that streams the access stream,
 // in order, to a dedicated goroutine running the exact reuse-distance
 // analyzer. The analyzer is strictly sequential (each distance depends
@@ -34,8 +43,8 @@ type distPipeline struct {
 func newDistPipeline() *distPipeline {
 	p := &distPipeline{
 		batch: make([]trace.Addr, 0, distBatch),
-		ch:    make(chan []trace.Addr, 8),
-		free:  make(chan []trace.Addr, 8),
+		ch:    make(chan []trace.Addr, pipeDepth),
+		free:  make(chan []trace.Addr, pipeDepth+2),
 		done:  make(chan struct{}),
 	}
 	go func() {

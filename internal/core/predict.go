@@ -76,6 +76,11 @@ func PredictAll(prog trace.Runner, det *Detection, policies ...predictor.Policy)
 //
 // Consume errors are ignored here; callers wanting per-consumer error
 // isolation and counts pass a *phase.Chain. A nil sink is PredictAll.
+// The run is pipelined (runMarked): the program executes on the
+// caller's goroutine while the cache simulation and the per-marker
+// work, sink calls included, run on one other goroutine. The calls
+// never overlap and arrive in stream order, and the reports are
+// identical to a strictly sequential run at every GOMAXPROCS.
 func PredictAllWith(prog trace.Runner, det *Detection, sink phase.Consumer, policies ...predictor.Policy) []*RunReport {
 	sim := cache.NewDefault()
 	preds := make([]*predictor.Predictor, len(policies))
@@ -100,7 +105,6 @@ func PredictAllWith(prog trace.Runner, det *Detection, sink phase.Consumer, poli
 	open := false
 	var execs []predictor.Execution
 
-	var ins *marker.Instrumented
 	onMarker := func(ph marker.PhaseID, acc, instr int64) {
 		if open {
 			loc, _ := sim.Since(cur.snap)
@@ -151,14 +155,13 @@ func PredictAllWith(prog trace.Runner, det *Detection, sink phase.Consumer, poli
 		cur = openPhase{phase: ph, startInstr: instr, startAcc: acc, snap: sim.Snapshot()}
 		open = true
 	}
-	ins = marker.NewInstrumented(det.Selection.Markers, sim, onMarker)
-	prog.Run(ins)
+	accesses, instrs := runMarked(prog, det.Selection.Markers, sim, onMarker)
 	if open {
 		loc, _ := sim.Since(cur.snap)
 		e := predictor.Execution{
 			Phase:        cur.phase,
-			Instructions: ins.Instructions() - cur.startInstr,
-			Accesses:     ins.Accesses() - cur.startAcc,
+			Instructions: instrs - cur.startInstr,
+			Accesses:     accesses - cur.startAcc,
 			Locality:     loc,
 			Partial:      true, // ends at program exit, not a marker
 		}
@@ -167,7 +170,7 @@ func PredictAllWith(prog trace.Runner, det *Detection, sink phase.Consumer, poli
 		}
 		execs = append(execs, e)
 	}
-	emitProfiles(emit, execs, ins.Accesses(), ins.Instructions())
+	emitProfiles(emit, execs, accesses, instrs)
 
 	inconsistent := 0
 	for _, ok := range det.PhaseConsistent {
@@ -180,7 +183,7 @@ func PredictAllWith(prog trace.Runner, det *Detection, sink phase.Consumer, poli
 		out[i] = &RunReport{
 			Policy:             policies[i],
 			Accuracy:           p.Accuracy(),
-			Coverage:           p.Coverage(ins.Instructions()),
+			Coverage:           p.Coverage(instrs),
 			NextPhaseAccuracy:  next.Accuracy(),
 			NextPhaseResyncs:   next.Resyncs(),
 			Executions:         execs,
@@ -189,8 +192,8 @@ func PredictAllWith(prog trace.Runner, det *Detection, sink phase.Consumer, poli
 			PhaseLengths:       p.PhaseLengths(),
 			Predictions:        p.Predictions(),
 			InconsistentPhases: inconsistent,
-			Instructions:       ins.Instructions(),
-			Accesses:           ins.Accesses(),
+			Instructions:       instrs,
+			Accesses:           accesses,
 		}
 	}
 	return out

@@ -45,7 +45,6 @@ func PredictStatistical(prog trace.Runner, det *Detection) *StatReport {
 	open := false
 	var execs []predictor.Execution
 
-	var ins *marker.Instrumented
 	onMarker := func(ph marker.PhaseID, acc, instr int64) {
 		if open {
 			loc, _ := sim.Since(cur.snap)
@@ -62,14 +61,13 @@ func PredictStatistical(prog trace.Runner, det *Detection) *StatReport {
 		cur = openPhase{phase: ph, startInstr: instr, startAcc: acc, snap: sim.Snapshot()}
 		open = true
 	}
-	ins = marker.NewInstrumented(det.Selection.Markers, sim, onMarker)
-	prog.Run(ins)
+	accesses, instrs := runMarked(prog, det.Selection.Markers, sim, onMarker)
 	if open {
 		loc, _ := sim.Since(cur.snap)
 		pred.Complete(predictor.Execution{
 			Phase:        cur.phase,
-			Instructions: ins.Instructions() - cur.startInstr,
-			Accesses:     ins.Accesses() - cur.startAcc,
+			Instructions: instrs - cur.startInstr,
+			Accesses:     accesses - cur.startAcc,
 			Locality:     loc,
 			Partial:      true,
 		})
@@ -77,10 +75,10 @@ func PredictStatistical(prog trace.Runner, det *Detection) *StatReport {
 
 	return &StatReport{
 		Accuracy:     pred.Accuracy(),
-		Coverage:     pred.Coverage(ins.Instructions()),
+		Coverage:     pred.Coverage(instrs),
 		Predictions:  pred.Predictions(),
 		Executions:   execs,
-		Instructions: ins.Instructions(),
-		Accesses:     ins.Accesses(),
+		Instructions: instrs,
+		Accesses:     accesses,
 	}
 }

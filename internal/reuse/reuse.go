@@ -11,18 +11,20 @@
 // (trace.AddrIndex: one probe sequence both reads the previous time and
 // stores the new one), and a Fenwick (binary indexed) tree with one
 // set bit per live element at that time. The distance of an access is
-// then a single prefix-sum query. Because logical time grows without
-// bound while the number of live elements does not, the tree is
-// periodically compacted: live last-access times are remapped onto a
-// dense prefix, preserving order. Compaction is O(M log M) and happens
-// every O(capacity) accesses, so the amortized cost stays logarithmic.
+// the count of set bits strictly between the previous and the current
+// time: one descending walk from both ends that stops where the two
+// index chains meet. Moving the element's bit to the current time is
+// one ascending walk that stops where the two update chains merge,
+// since above that node the -1 and +1 cancel. Because logical time
+// grows without bound while the number of live elements does not, the
+// tree is periodically compacted: live last-access times are remapped
+// onto a dense prefix, preserving order. Compaction is an in-place rank
+// scan in O(tree size) — unbuild the tree into its bits, prefix-sum
+// them into ranks, look each live time's rank up — and happens every
+// O(tree size) accesses, so the amortized cost stays logarithmic.
 package reuse
 
-import (
-	"slices"
-
-	"lpp/internal/trace"
-)
+import "lpp/internal/trace"
 
 // Infinite is the distance reported for a cold (first-ever) access.
 const Infinite = int64(-1)
@@ -34,10 +36,6 @@ type Analyzer struct {
 	last *trace.AddrIndex // element -> last access time (tree index)
 	tree []int64          // Fenwick tree over time slots, 1-based
 	now  int64            // next time slot to use
-
-	// scratch is reused across compactions so the steady state of
-	// the Access hot loop allocates nothing.
-	scratch []int64
 }
 
 // lastHint pre-sizes the last-access index: the analyzer sits on the
@@ -64,15 +62,48 @@ func (a *Analyzer) Access(addr trace.Addr) int64 {
 	t := a.now
 	a.now++
 	prev, seen := a.last.Swap(addr, t)
-	a.add(t, 1)
+	tree := a.tree
+	n := int64(len(tree))
 	if !seen {
+		for i := t + 1; i < n; i += i & -i {
+			tree[i]++
+		}
 		return Infinite
 	}
 	// Distinct elements strictly between prev and t: every live
 	// element has exactly one set bit at its last access time, and
-	// addr's own bit is at prev, so sum over (prev, t) counts others.
-	d := a.sum(t-1) - a.sum(prev)
-	a.add(prev, -1)
+	// addr's own bit is at prev, so sum(t-1) - sum(prev) counts the
+	// others. Both prefix walks descend to the same node, below which
+	// their terms cancel; in 1-based tree indices they start at t and
+	// prev+1, and the larger one steps until they meet.
+	var d int64
+	for i, j := t, prev+1; i != j; {
+		if i > j {
+			d += tree[i]
+			i &= i - 1
+		} else {
+			d -= tree[j]
+			j &= j - 1
+		}
+	}
+	// Move addr's bit from prev to t: -1 up prev's chain and +1 up
+	// t's, the smaller index stepping, until the chains merge or both
+	// leave the tree. Above the merge node the updates cancel.
+	for i, j := prev+1, t+1; i != j; {
+		if i < j {
+			if i >= n {
+				break
+			}
+			tree[i]--
+			i += i & -i
+		} else {
+			if j >= n {
+				break
+			}
+			tree[j]++
+			j += j & -j
+		}
+	}
 	return d
 }
 
@@ -81,65 +112,46 @@ func (a *Analyzer) Distinct() int { return a.last.Len() }
 
 // compact remaps live last-access times onto 0..n-1 (order-preserving)
 // and rebuilds the Fenwick tree, growing it if the live set needs room.
-// The scratch buffer and the tree itself are reused across compactions,
-// so a steady-state compaction performs no allocations: ranks come from
-// a binary search over the sorted live times (each live element holds a
-// distinct time, so the search is exact), and the rebuilt tree — one
-// set bit per slot 0..n-1 — is written directly in one O(size) pass
-// instead of n individual O(log size) point updates.
+// It works in place on the tree, so a steady-state compaction performs
+// no allocations and no sort:
+//
+//  1. undo the linear Fenwick build, descending, so tree[p] holds the
+//     bit of time slot p-1 again;
+//  2. prefix-sum the bits into exclusive ranks: tree[p] becomes the
+//     number of live times before slot p-1;
+//  3. remap each live entry to its rank, tree[t+1];
+//  4. rebuild the tree for the n dense slots in one O(size) pass.
 func (a *Analyzer) compact() {
-	times := a.scratch[:0]
+	tree := a.tree
+	// Slots at or after now hold no bits, so the scan stops at now.
+	top := min(a.now, int64(len(tree)-1))
+	for i := top; i > 0; i-- {
+		if j := i + i&-i; j <= top {
+			tree[j] -= tree[i]
+		}
+	}
+	var rank int64
+	for p := int64(1); p <= top; p++ {
+		bit := tree[p]
+		tree[p] = rank
+		rank += bit
+	}
 	a.last.Range(func(_ trace.Addr, t *int64) {
-		times = append(times, *t)
+		*t = tree[*t+1]
 	})
-	slices.Sort(times)
-	a.scratch = times
-	size := len(a.tree)
-	for size < 4*(len(times)+1) || size < 1<<16 {
+	n := int64(a.last.Len())
+	size := len(tree)
+	for size < 4*(int(n)+1) || size < 1<<16 {
 		size *= 2
 	}
-	if size == len(a.tree) {
-		clear(a.tree)
-	} else {
+	if size != len(tree) {
 		a.tree = make([]int64, size)
 	}
-	a.last.Range(func(_ trace.Addr, t *int64) {
-		r, _ := slices.BinarySearch(times, *t)
-		*t = int64(r)
-	})
 	// Slots 0..n-1 (tree indices 1..n) each hold one set bit; a
 	// Fenwick node i covers (i-lowbit(i), i], so its value is the
 	// overlap of that range with [1, n].
-	n := int64(len(times))
 	for i := int64(1); i < int64(len(a.tree)); i++ {
-		lo := i - i&(-i)
-		if lo >= n {
-			continue
-		}
-		hi := i
-		if hi > n {
-			hi = n
-		}
-		a.tree[i] = hi - lo
+		a.tree[i] = max(min(i, n)-(i-i&-i), 0)
 	}
 	a.now = n
-}
-
-// add adds delta at time slot t (0-based externally, 1-based in tree).
-func (a *Analyzer) add(t, delta int64) {
-	for i := t + 1; i < int64(len(a.tree)); i += i & (-i) {
-		a.tree[i] += delta
-	}
-}
-
-// sum returns the number of set bits in slots [0, t].
-func (a *Analyzer) sum(t int64) int64 {
-	if t < 0 {
-		return 0
-	}
-	var s int64
-	for i := t + 1; i > 0; i -= i & (-i) {
-		s += a.tree[i]
-	}
-	return s
 }

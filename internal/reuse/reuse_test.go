@@ -204,6 +204,24 @@ func BenchmarkAnalyzerAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzerTrainTrace runs the exact analyzer over the recorded
+// tomcatv Train address stream, the way Detect's sampling pass does,
+// and reports ns per access. Unlike BenchmarkAnalyzerAccess (uniform
+// random addresses) this keeps the live set, the reuse-distance mix
+// and so the walk heights and compaction rate at a real program's.
+func BenchmarkAnalyzerTrainTrace(b *testing.B) {
+	addrs := trainAccesses(b, "tomcatv")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := NewAnalyzer()
+		for _, addr := range addrs {
+			a.Access(addr)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(addrs)), "ns/access")
+}
+
 // BenchmarkAnalyzerCompact pins the periodic tree rebuild: a live set
 // of 32K elements is remapped and the Fenwick tree reconstructed on
 // every iteration, the way the Access hot loop triggers it once per
@@ -220,16 +238,16 @@ func BenchmarkAnalyzerCompact(b *testing.B) {
 	}
 }
 
-// TestCompactSteadyStateAllocs: once the scratch buffer and tree have
-// reached the live set's size, a compaction must not allocate — the
-// Access hot loop's amortized allocation rate depends on it.
+// TestCompactSteadyStateAllocs: once the tree has reached the live
+// set's size, a compaction must not allocate — the Access hot loop's
+// amortized allocation rate depends on it.
 func TestCompactSteadyStateAllocs(t *testing.T) {
 	a := NewAnalyzer()
 	rng := stats.NewRNG(11)
 	for i := 0; i < 1<<14; i++ {
 		a.Access(trace.Addr(rng.Intn(1 << 12)))
 	}
-	a.compact() // warm the scratch buffer
+	a.compact() // grow the tree to the live set
 	if allocs := testing.AllocsPerRun(10, func() { a.compact() }); allocs > 0 {
 		t.Errorf("steady-state compact allocates %.1f objects per run, want 0", allocs)
 	}
@@ -259,8 +277,8 @@ func TestCompactPreservesDistances(t *testing.T) {
 // TestAnalyzerAccessZeroAllocs pins the exact analyzer's hot loop at
 // zero allocations: after warm-up on the tomcatv Train trace, 4K-access
 // chunks through Access allocate nothing, and the measured window
-// spans at least one compaction, so the index walks, the scratch sort
-// and the tree rebuild are covered too.
+// spans at least one compaction, so the index walks, the rank scan and
+// the tree rebuild are covered too.
 func TestAnalyzerAccessZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-runtime allocations")
