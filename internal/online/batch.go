@@ -12,7 +12,7 @@ import (
 // step, so the degraded regime batches exactly like the healthy one.
 //
 // Allocation: the dispatch loop and the analyzer half of step (the
-// last-access index probe, Fenwick update, compaction, and the
+// last-access index probe, bucket update, compaction, and the
 // eviction sweep of the index) allocate nothing in the steady state,
 // and neither does the sampler's datum lookup, a probe of the same
 // kind of index — TestAccessBatchHotPathZeroAllocs and
@@ -26,8 +26,15 @@ import (
 // seen. On the fft trace of BenchmarkAccessColumns that is ~250
 // allocations per 8K-event chunk; TestAccessBatchAmortizedAllocs
 // bounds it per event on a real trace.
+//
+// Each access also prefetches the last-access slot of the access
+// prefetchAhead events later, so the analyzer's index probe rarely
+// waits on memory; the hint changes no result.
 func (d *Detector) AccessBatch(events []trace.Event) {
 	for i := range events {
+		if j := i + prefetchAhead; j < len(events) && events[j].Kind != trace.EventBlock {
+			d.analyzer.Prefetch(events[j].Addr)
+		}
 		if ev := &events[i]; ev.Kind == trace.EventBlock {
 			d.Block(ev.Block, ev.Instrs)
 		} else {
@@ -36,6 +43,12 @@ func (d *Detector) AccessBatch(events []trace.Event) {
 	}
 }
 
+// prefetchAhead is how many references ahead the batch entry points
+// prefetch the analyzer's last-access slot: far enough that the load
+// lands before step probes it, near enough that it is not evicted
+// again first.
+const prefetchAhead = 8
+
 // AccessColumns feeds a decoded v2 chunk to the detector straight from
 // its columns, without materializing []trace.Event: the kinds bitmap is
 // walked in stream order, block events fold their counters from the
@@ -43,7 +56,9 @@ func (d *Detector) AccessBatch(events []trace.Event) {
 // address column through step, the per-access body AccessBatch calls.
 // The golden suites pin AccessColumns bit-identical to the per-event
 // and row-batch paths. The column walk adds no allocation of its own;
-// what step allocates is as described on AccessBatch.
+// what step allocates is as described on AccessBatch. Like AccessBatch
+// it prefetches prefetchAhead addresses ahead; the address column is
+// contiguous, so the hint runs across block events.
 func (d *Detector) AccessColumns(c *trace.Columns) {
 	ai, bi := 0, 0
 	i := 0
@@ -59,7 +74,10 @@ func (d *Detector) AccessColumns(c *trace.Columns) {
 		for j < c.N && !c.IsBlock(j) {
 			j++
 		}
-		for _, addr := range c.Addrs[ai : ai+(j-i)] {
+		for k, addr := range c.Addrs[ai : ai+(j-i)] {
+			if ahead := ai + k + prefetchAhead; ahead < len(c.Addrs) {
+				d.analyzer.Prefetch(c.Addrs[ahead])
+			}
 			d.step(addr)
 		}
 		ai += j - i

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"lpp/internal/codec"
@@ -167,6 +168,11 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 	if err := fresh().Restore(skew); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("version skew: err = %v, want ErrSnapshotVersion", err)
 	}
+	// Analyzer buckets whose counts sum right but disagree with the
+	// last-access times they cover, under a valid CRC.
+	if err := fresh().Restore(miscountedSnapshot(t, d)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("miscounted analyzer buckets: err = %v, want ErrSnapshotCorrupt", err)
+	}
 
 	// A failed restore must leave the target detector intact.
 	target := NewDetector(Config{})
@@ -201,6 +207,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 	skew = skew[:len(skew)-4]
 	skew = binary.LittleEndian.AppendUint32(skew, crc32.ChecksumIEEE(skew))
 	f.Add(skew)
+	f.Add(miscountedSnapshot(f, d))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nd := NewDetector(Config{})
@@ -214,6 +221,44 @@ func FuzzSnapshotRestore(f *testing.F) {
 		nd.Flush()
 		nd.Snapshot()
 	})
+}
+
+// miscountedSnapshot returns d's snapshot with one count moved from a
+// merged analyzer bucket to a neighbour, resealed. Every length, sum and
+// checksum still holds; only the census of last-access times per bucket
+// is off, which no encoder writes.
+func miscountedSnapshot(tb testing.TB, d *Detector) []byte {
+	tb.Helper()
+	ast := d.analyzer.State()
+	section := func(counts []int64) []byte {
+		var e codec.Enc
+		e.Num(len(ast.BucketTimes))
+		for i, bt := range ast.BucketTimes {
+			e.I64(bt)
+			e.I64(counts[i])
+		}
+		return e.Buf
+	}
+	j := slices.IndexFunc(ast.BucketCounts, func(c int64) bool { return c > 1 })
+	if j < 0 || len(ast.BucketCounts) < 2 {
+		tb.Fatalf("no merged bucket with a neighbour among %d", len(ast.BucketCounts))
+	}
+	bad := slices.Clone(ast.BucketCounts)
+	bad[j]--
+	to := j - 1
+	if j == 0 {
+		to = 1
+	}
+	bad[to]++
+	body := d.Snapshot()
+	body = body[:len(body)-4]
+	old := section(ast.BucketCounts)
+	at := bytes.Index(body, old)
+	if at < 0 || bytes.Contains(body[at+1:], old) {
+		tb.Fatal("analyzer bucket section not found exactly once in the snapshot")
+	}
+	out := append(slices.Clone(body[:at]), section(bad)...)
+	return codec.Seal(append(out, body[at+len(old):]...))
 }
 
 // TestIntSetRejectsUnwrittenBytes pins that a page-signature set

@@ -1,7 +1,7 @@
 package reuse
 
 import (
-	"sort"
+	"math/bits"
 
 	"lpp/internal/trace"
 )
@@ -18,13 +18,17 @@ import (
 //
 // An Access costs one probe sequence of the last-access index
 // (trace.AddrIndex, whose Swap looks up the previous time and stores
-// the new one together) plus O(log B) for B buckets: a binary search
-// for the previous access's bucket, and Fenwick-tree prefix sums for
-// the count of newer elements. On top of that comes the O(B)
-// compaction, which runs only when the bucket count passes four times
-// its target and leaves far fewer, so it is amortized over the
-// accesses in between. EvictOldest forgets addresses with one
-// in-place sweep of the index.
+// the new one together) plus the bucket work. Each Access appends a
+// unit bucket, so every bucket added since the last compaction covers
+// one known time: the previous access's bucket in that tail is found
+// by subtraction, and the newer live elements are a popcount over the
+// tail's liveness bits. Only a previous access older than the tail
+// pays O(log B), for B buckets at the last compaction: a binary search
+// of those buckets and a Fenwick-tree prefix sum over them. On top of
+// that comes the O(B) compaction, which runs only when the bucket
+// count passes four times its target and leaves far fewer, so it is
+// amortized over the accesses in between. EvictOldest forgets
+// addresses with one in-place sweep of the index.
 type ApproxAnalyzer struct {
 	eps  float64
 	last *trace.AddrIndex // element -> last access time
@@ -32,18 +36,28 @@ type ApproxAnalyzer struct {
 	// buckets are in ascending time order: bucket i covers times
 	// (buckets[i-1].maxTime, buckets[i].maxTime].
 	buckets []approxBucket
-	// tree is a 1-based Fenwick tree over the bucket counts: tree[i]
-	// covers buckets (i-lowbit(i), i] in 1-based numbering, and tree[0]
-	// is unused. It is rebuilt whenever buckets is rewritten wholesale.
-	tree []int64
-	now  int64
-	live int64 // total live elements across buckets
+	now     int64
+	live    int64 // total live elements across buckets
 
-	// tgt caches targetBuckets() as of the last rebuild or recheck.
-	// live never drops between evictions and targetBuckets is monotone
-	// in live, so tgt is a lower bound on the exact target: a bucket
-	// count within 4*tgt cannot trigger compaction, and only a count
-	// beyond it pays for the exact recomputation.
+	// The head is buckets[:n0], the list as the last rebuild left it
+	// at clock t0. Every later bucket is the unit bucket an Access
+	// appended, so buckets[n0+k] covers exactly time t0+k.
+	n0 int
+	t0 int64
+	// tree is a 1-based Fenwick tree over the head's bucket counts:
+	// tree[i] covers buckets (i-lowbit(i), i] in 1-based numbering,
+	// and tree[0] is unused. It is rebuilt whenever buckets is
+	// rewritten wholesale.
+	tree []int64
+	// tail has bit k set while tail bucket buckets[n0+k] holds its one
+	// element. Its words are reused from rebuild to rebuild.
+	tail []uint64
+
+	// tgt caches targetBuckets() as of the last recheck, eviction or
+	// restore. live never drops between evictions and targetBuckets is
+	// monotone in live, so tgt is a lower bound on the exact target: a
+	// bucket count within 4*tgt cannot trigger compaction, and only a
+	// count beyond it pays for the exact recomputation.
 	tgt int
 
 	// newerScratch is compact's reusable prefix-sum buffer, so steady-
@@ -64,6 +78,7 @@ func NewApproxAnalyzer(eps float64) *ApproxAnalyzer {
 		eps = 0.05
 	}
 	a := &ApproxAnalyzer{eps: eps, last: trace.NewAddrIndex(0)}
+	a.tgt = a.targetBuckets()
 	a.rebuild()
 	return a
 }
@@ -77,24 +92,33 @@ func (a *ApproxAnalyzer) Access(addr trace.Addr) int64 {
 
 	dist := Infinite
 	if seen {
-		idx := a.find(prev)
-		// Elements in strictly newer buckets are certainly between
-		// prev and t; within prev's own bucket, assume the element
-		// sits in the middle.
-		after := a.live - a.prefix(idx+1)
-		dist = after + (a.buckets[idx].count-1)/2
-		a.buckets[idx].count--
-		for i := idx + 1; i < len(a.tree); i += i & -i {
-			a.tree[i]--
+		var idx int
+		if prev >= a.t0 {
+			// A tail bucket holds just this element, so the newer
+			// live tail buckets are exactly the elements in between.
+			k := int(prev - a.t0)
+			idx = a.n0 + k
+			dist = a.tailNewer(k)
+			a.tail[k>>6] &^= 1 << (k & 63)
+		} else {
+			idx = a.findHead(prev)
+			// Elements in strictly newer buckets are certainly between
+			// prev and t; within prev's own bucket, assume the element
+			// sits in the middle.
+			dist = a.live - a.headPrefix(idx+1) + (a.buckets[idx].count-1)/2
+			for i := idx + 1; i <= a.n0; i += i & -i {
+				a.tree[i]--
+			}
 		}
+		a.buckets[idx].count--
 		a.live--
 	}
+	k := len(a.buckets) - a.n0
+	if k>>6 == len(a.tail) {
+		a.tail = append(a.tail, 0)
+	}
+	a.tail[k>>6] |= 1 << (k & 63)
 	a.buckets = append(a.buckets, approxBucket{maxTime: t, count: 1})
-	// The new slot i covers buckets (i-lowbit(i), i]: this one plus the
-	// older ones in that range.
-	i := len(a.buckets)
-	lowbit := i & -i
-	a.tree = append(a.tree, 1+a.prefix(i-1)-a.prefix(i-lowbit))
 	a.live++
 	if len(a.buckets) > 4*a.tgt {
 		a.tgt = a.targetBuckets()
@@ -104,6 +128,11 @@ func (a *ApproxAnalyzer) Access(addr trace.Addr) int64 {
 	}
 	return dist
 }
+
+// Prefetch starts loading the last-access slot that a later Access to
+// addr probes first, so that Access need not stall on it. Callers
+// issue it a few references ahead; it changes no result.
+func (a *ApproxAnalyzer) Prefetch(addr trace.Addr) { a.last.Prefetch(addr) }
 
 // AccessEvict records one reference and applies the streaming
 // detector's eviction rule in the same call: once more than maxLive
@@ -147,6 +176,7 @@ func (a *ApproxAnalyzer) EvictOldest(maxLive int) int {
 	}
 	a.buckets = a.buckets[:copy(a.buckets, a.buckets[i:])]
 	a.live -= dropped
+	a.tgt = a.targetBuckets()
 	a.rebuild()
 	// Every address's single live slot is its last-access time, so the
 	// evicted addresses are exactly those at or before the cutoff.
@@ -158,15 +188,23 @@ func (a *ApproxAnalyzer) EvictOldest(maxLive int) int {
 // test: O(log(M)/ε) instead of O(M)).
 func (a *ApproxAnalyzer) Buckets() int { return len(a.buckets) }
 
-// find returns the index of the bucket containing time x.
-func (a *ApproxAnalyzer) find(x int64) int {
-	return sort.Search(len(a.buckets), func(i int) bool {
-		return a.buckets[i].maxTime >= x
-	})
+// findHead returns the index of the head bucket containing time x,
+// which is older than the tail.
+func (a *ApproxAnalyzer) findHead(x int64) int {
+	lo, hi := 0, a.n0
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a.buckets[m].maxTime < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
-// prefix returns the live elements in the n oldest buckets.
-func (a *ApproxAnalyzer) prefix(n int) int64 {
+// headPrefix returns the live elements in the n oldest buckets, n <= n0.
+func (a *ApproxAnalyzer) headPrefix(n int) int64 {
 	var s int64
 	for ; n > 0; n &= n - 1 {
 		s += a.tree[n]
@@ -174,16 +212,29 @@ func (a *ApproxAnalyzer) prefix(n int) int64 {
 	return s
 }
 
-// rebuild recomputes the Fenwick tree from the bucket counts in O(B)
-// and refreshes the cached compaction target. Every path that rewrites
-// buckets wholesale or lowers live (compaction, eviction, restore) ends
-// here. The tree is sized for the largest bucket count the target
-// allows before the next compaction, so steady-state appends reuse it.
+// tailNewer returns the live elements in tail buckets newer than
+// buckets[n0+k]. Bits past the tail's end are never set.
+func (a *ApproxAnalyzer) tailNewer(k int) int64 {
+	w := k >> 6
+	n := bits.OnesCount64(a.tail[w] >> (uint(k&63) + 1))
+	for _, x := range a.tail[w+1:] {
+		n += bits.OnesCount64(x)
+	}
+	return int64(n)
+}
+
+// rebuild makes every bucket a head bucket: it recomputes the Fenwick
+// tree from the bucket counts in O(B) and empties the tail. Every path
+// that rewrites buckets wholesale or lowers live (compaction, eviction,
+// restore) ends here, the latter two after refreshing tgt. A grown
+// tree is sized for the largest bucket count the target allows before
+// the next compaction, so steady-state rebuilds reuse it.
 func (a *ApproxAnalyzer) rebuild() {
-	a.tgt = a.targetBuckets()
 	n := len(a.buckets)
-	if want := 4*a.tgt + 2; cap(a.tree) < want {
-		a.tree = make([]int64, 0, max(want, n+1))
+	a.n0, a.t0 = n, a.now
+	a.tail = a.tail[:0]
+	if cap(a.tree) < n+1 {
+		a.tree = make([]int64, 0, max(4*a.tgt+2, n+1))
 	}
 	a.tree = a.tree[:n+1]
 	a.tree[0] = 0

@@ -3,6 +3,7 @@ package reuse
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"lpp/internal/stats"
@@ -47,17 +48,65 @@ func oracleStreams(t testing.TB, n int) map[string][]trace.Addr {
 	return streams
 }
 
+// roundTrips counts the State() → NewApproxFromState round trips
+// checkAgainstReference made, by the point it made them at.
+type roundTrips struct {
+	midTail, afterCompact, tailEvict int
+}
+
+// maxRoundTrips caps the round trips of each kind per stream, since
+// each one costs O(live).
+const maxRoundTrips = 4
+
+// evictsIntoTail reports whether EvictOldest(keep) would drop a
+// bucket appended since the last rebuild, by the same walk it makes.
+func evictsIntoTail(a *ApproxAnalyzer, keep int) bool {
+	var dropped int64
+	i := 0
+	for ; i < len(a.buckets) && a.live-dropped > int64(keep); i++ {
+		dropped += a.buckets[i].count
+	}
+	return i > a.n0
+}
+
 // checkAgainstReference replays addrs through the analyzer and the
 // frozen reference with the same eviction cap, failing on the first
 // access whose distance or bucket count differs. State() is compared
 // every stateEvery accesses and at the end. It returns the number of
 // evictions seen, so callers can tell the eviction path ran.
-func checkAgainstReference(t testing.TB, addrs []trace.Addr, eps float64, maxLive, stateEvery int) int {
+//
+// The analyzer is also replaced by one restored from its State(), as
+// a checkpoint recovery would, at the three points where its derived
+// tail (the unit buckets since the last rebuild) is most likely to be
+// restored wrong: mid-tail, right after a compaction, and right after
+// an eviction that reached into the tail. AccessEvict is applied as
+// its two halves, Access and the eviction rule, so the test can see
+// the tail in between; the reference runs AccessEvict itself.
+func checkAgainstReference(t testing.TB, addrs []trace.Addr, eps float64, maxLive, stateEvery int) (int, roundTrips) {
 	a, ref := NewApproxAnalyzer(eps), newRefApprox(eps)
 	evictions := 0
+	var trips roundTrips
+	roundTrip := func(i int, n *int) {
+		if *n >= maxRoundTrips {
+			return
+		}
+		*n++
+		restored, err := NewApproxFromState(a.State())
+		if err != nil {
+			t.Fatalf("access %d: restore: %v", i, err)
+		}
+		a = restored
+	}
 	for i, addr := range addrs {
-		before := ref.Distinct()
-		got, want := a.AccessEvict(addr, maxLive), ref.AccessEvict(addr, maxLive)
+		before, buckets := ref.Distinct(), a.Buckets()
+		got := a.Access(addr)
+		compacted := a.Buckets() <= buckets
+		intoTail := false
+		if maxLive > 0 && a.Distinct() > maxLive {
+			intoTail = evictsIntoTail(a, maxLive/2)
+			a.EvictOldest(maxLive / 2)
+		}
+		want := ref.AccessEvict(addr, maxLive)
 		if got != want {
 			t.Fatalf("access %d (addr %d): distance %d, reference %d", i, addr, got, want)
 		}
@@ -67,34 +116,60 @@ func checkAgainstReference(t testing.TB, addrs []trace.Addr, eps float64, maxLiv
 		if ref.Distinct() < before {
 			evictions++
 		}
+		switch {
+		case intoTail:
+			roundTrip(i, &trips.tailEvict)
+		case compacted:
+			roundTrip(i, &trips.afterCompact)
+		case (i+1)%stateEvery == stateEvery/2 && len(a.buckets) > a.n0:
+			roundTrip(i, &trips.midTail)
+		}
 		if (i+1)%stateEvery == 0 || i == len(addrs)-1 {
 			if !reflect.DeepEqual(a.State(), ref.State()) {
 				t.Fatalf("access %d: State() differs from reference", i)
 			}
 		}
 	}
-	return evictions
+	return evictions, trips
 }
 
-// TestApproxMatchesReference pins the O(log B) analyzer bit-identical
-// to the linear-sum reference on random, cyclic and hostile streams,
-// across eviction caps and precisions.
+// TestApproxMatchesReference pins the analyzer bit-identical to the
+// linear-sum reference on random, cyclic and hostile streams, across
+// eviction caps and precisions, through restores at each point
+// checkAgainstReference makes them.
 func TestApproxMatchesReference(t *testing.T) {
 	n := 120_000
 	if raceEnabled {
 		n = 30_000
 	}
 	streams := oracleStreams(t, n)
+	var mu sync.Mutex
+	var total roundTrips
+	// The subtests run in parallel after this body returns; the
+	// cleanup runs once all of them are done.
+	t.Cleanup(func() {
+		if total.midTail == 0 || total.afterCompact == 0 || total.tailEvict == 0 {
+			t.Errorf("round trips mid-tail %d, after compaction %d, after tail eviction %d: every kind must occur",
+				total.midTail, total.afterCompact, total.tailEvict)
+		}
+		t.Logf("round trips: mid-tail %d, after compaction %d, after tail eviction %d",
+			total.midTail, total.afterCompact, total.tailEvict)
+	})
 	for _, name := range []string{"random", "cyclic", "interleaved", "drift"} {
 		for _, maxLive := range []int{0, 1 << 10, 1 << 16} {
 			for _, eps := range []float64{0.05, 0.1} {
 				addrs := streams[name]
 				t.Run(fmt.Sprintf("%s/maxlive=%d/eps=%g", name, maxLive, eps), func(t *testing.T) {
 					t.Parallel()
-					ev := checkAgainstReference(t, addrs, eps, maxLive, 1<<13)
+					ev, trips := checkAgainstReference(t, addrs, eps, maxLive, 1<<13)
 					if name == "random" && maxLive > 0 && n >= 100_000 && ev == 0 {
 						t.Fatalf("no eviction at cap %d; the stream no longer covers the eviction path", maxLive)
 					}
+					mu.Lock()
+					total.midTail += trips.midTail
+					total.afterCompact += trips.afterCompact
+					total.tailEvict += trips.tailEvict
+					mu.Unlock()
 				})
 			}
 		}

@@ -10,8 +10,10 @@ import (
 // plainest form, kept as a test oracle: it recomputes the compaction
 // target on every access and sums the newer buckets linearly, so each
 // access costs O(B + log₁₊ε live). The production analyzer caches the
-// target and keeps suffix counts in a Fenwick tree; both must agree
-// with this one bit for bit — distances, bucket counts and State().
+// target, locates and counts the unit buckets appended since its last
+// compaction by arithmetic and popcount, and keeps the older buckets'
+// counts in a Fenwick tree; both must agree with this one bit for bit
+// — distances, bucket counts and State().
 type refApprox struct {
 	eps     float64
 	last    map[trace.Addr]int64

@@ -25,30 +25,34 @@ func trainAccesses(tb testing.TB, name string) []trace.Addr {
 	return rec.T.Accesses
 }
 
-// BenchmarkApproxTomcatvTrain runs the analyzer the way the streaming
+// BenchmarkApproxTrain runs the analyzer the way the streaming
 // detector does — AccessEvict at the detector's eviction cap — over the
-// recorded tomcatv Train trace, and reports ns per access. Unlike
-// BenchmarkApproxAccess (random addresses, no eviction) this keeps the
-// live set, and so the bucket count and compaction target, at the
-// sizes a real session sees.
-func BenchmarkApproxTomcatvTrain(b *testing.B) {
-	addrs := trainAccesses(b, "tomcatv")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := NewApproxAnalyzer(0.05)
-		for _, addr := range addrs {
-			a.AccessEvict(addr, detectorMaxLive)
-		}
+// recorded tomcatv, swim and applu Train traces, one sub-benchmark
+// each, and reports ns per access. Unlike BenchmarkApproxAccess
+// (random addresses, no eviction) this keeps the live set, and so the
+// bucket count and compaction target, at the sizes a real session sees.
+func BenchmarkApproxTrain(b *testing.B) {
+	for _, name := range []string{"tomcatv", "swim", "applu"} {
+		b.Run(name, func(b *testing.B) {
+			addrs := trainAccesses(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a := NewApproxAnalyzer(0.05)
+				for _, addr := range addrs {
+					a.AccessEvict(addr, detectorMaxLive)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(addrs)), "ns/access")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(addrs)), "ns/access")
 }
 
 // TestApproxAccessEvictZeroAllocs pins the analyzer half of the ingest
 // hot path at zero allocations: after warm-up on a real Train trace, a
-// 4K-access chunk through AccessEvict allocates nothing — Fenwick
-// appends and rebuilds, compactions and evictions all reuse their
-// slices. tomcatv stays under the eviction cap; swim evicts every ~40K
+// 4K-access chunk through AccessEvict allocates nothing — tail bits,
+// Fenwick rebuilds, compactions and evictions all reuse their slices.
+// tomcatv stays under the eviction cap; swim evicts every ~40K
 // accesses, so its window covers the eviction path too.
 func TestApproxAccessEvictZeroAllocs(t *testing.T) {
 	if raceEnabled {

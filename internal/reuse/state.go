@@ -3,6 +3,7 @@ package reuse
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"lpp/internal/trace"
 )
@@ -154,10 +155,22 @@ func NewApproxFromState(st ApproxState) (*ApproxAnalyzer, error) {
 		}
 		a.last.Swap(addr, t)
 	}
+	// Every bucket count must be the census of the last-access times it
+	// covers: a reuse decrements its bucket, so a count short of its
+	// census would later go negative.
+	census := make([]int64, len(st.BucketTimes))
+	for _, t := range st.Times {
+		census[sort.Search(len(st.BucketTimes), func(i int) bool { return st.BucketTimes[i] >= t })]++
+	}
 	a.buckets = make([]approxBucket, len(st.BucketTimes))
 	for i := range st.BucketTimes {
+		if census[i] != st.BucketCounts[i] {
+			return nil, fmt.Errorf("%w: bucket %d counts %d but covers %d last-access times",
+				errApproxState, i, st.BucketCounts[i], census[i])
+		}
 		a.buckets[i] = approxBucket{maxTime: st.BucketTimes[i], count: st.BucketCounts[i]}
 	}
+	a.tgt = a.targetBuckets()
 	a.rebuild()
 	return a, nil
 }

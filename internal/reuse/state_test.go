@@ -1,6 +1,7 @@
 package reuse
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -59,6 +60,35 @@ func TestSortByAddrMatchesSlicesSort(t *testing.T) {
 				t.Errorf("%s: time at %d does not belong to address %#x", name, i, a)
 				break
 			}
+		}
+	}
+}
+
+// TestNewApproxFromStateRejectsMiscountedBuckets pins that a restore
+// checks each bucket count against the census of last-access times the
+// bucket covers, not just their sum against Live. Moving one count
+// between two buckets keeps the sum; accepted, the short bucket's count
+// would go negative on the reuse of its last covered address.
+func TestNewApproxFromStateRejectsMiscountedBuckets(t *testing.T) {
+	a := NewApproxAnalyzer(0.05)
+	for i := 0; i < 20_000; i++ {
+		a.Access(trace.Addr(i % 3000))
+	}
+	st := a.State()
+	if _, err := NewApproxFromState(st); err != nil {
+		t.Fatalf("valid state: %v", err)
+	}
+	j := slices.IndexFunc(st.BucketCounts, func(c int64) bool { return c > 1 })
+	if j < 1 || j == len(st.BucketCounts)-1 {
+		t.Fatalf("no merged inner bucket to miscount in %d buckets", len(st.BucketCounts))
+	}
+	for _, to := range []int{j - 1, j + 1} {
+		bad := st
+		bad.BucketCounts = slices.Clone(st.BucketCounts)
+		bad.BucketCounts[j]--
+		bad.BucketCounts[to]++
+		if _, err := NewApproxFromState(bad); !errors.Is(err, errApproxState) {
+			t.Errorf("one count moved from bucket %d to %d: err = %v, want errApproxState", j, to, err)
 		}
 	}
 }

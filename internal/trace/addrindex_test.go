@@ -227,3 +227,49 @@ func TestAddrIndexSweepExtremes(t *testing.T) {
 	}
 	checkIndex(t, x, ref)
 }
+
+// TestAddrIndexPrefetch: Prefetch is a hint that reads and changes
+// nothing, for present and absent addresses alike, on a minimum-size
+// table, after the table grows and after a sweep empties part of it.
+func TestAddrIndexPrefetch(t *testing.T) {
+	x := NewAddrIndex(0)
+	if len(x.slots) != minAddrSlots {
+		t.Fatalf("NewAddrIndex(0) has %d slots, want %d", len(x.slots), minAddrSlots)
+	}
+	ref := make(map[Addr]int64)
+	probe := func(stage string) {
+		t.Helper()
+		slots := len(x.slots)
+		for _, a := range []Addr{0, 1, 8, 1 << 32, ^Addr(0), ^Addr(0) >> 1} {
+			x.Prefetch(a)
+		}
+		for a := range ref {
+			x.Prefetch(a)
+		}
+		if len(x.slots) != slots {
+			t.Fatalf("%s: Prefetch resized the table from %d to %d slots", stage, slots, len(x.slots))
+		}
+		checkIndex(t, x, ref)
+	}
+	probe("empty")
+	for i := 0; i < minAddrSlots/2; i++ {
+		x.Swap(Addr(i)*64, int64(i))
+		ref[Addr(i)*64] = int64(i)
+	}
+	probe("minimum size")
+	for i := minAddrSlots / 2; i < 1000; i++ {
+		x.Swap(Addr(i)*64, int64(i))
+		ref[Addr(i)*64] = int64(i)
+	}
+	if len(x.slots) == minAddrSlots {
+		t.Fatal("table did not grow")
+	}
+	probe("after grow")
+	x.DeleteUpTo(899)
+	for a, v := range ref {
+		if v <= 899 {
+			delete(ref, a)
+		}
+	}
+	probe("after DeleteUpTo")
+}
