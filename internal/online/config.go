@@ -7,8 +7,10 @@
 //
 //   - reuse distances come from reuse.ApproxAnalyzer with an eviction
 //     cap instead of the exact analyzer;
-//   - variable-distance sampling paces its thresholds against a target
-//     sample *rate* instead of an expected trace length;
+//   - variable-distance sampling applies the offline selection rule
+//     (sampling.Selector, seeded with the offline thresholds) but paces
+//     its thresholds against a target sample *rate* instead of an
+//     expected trace length;
 //   - the wavelet filter runs over a sliding window of each data
 //     sample's recent sub-trace, deciding each sample once a fixed
 //     number of newer samples exist (the same rule set as offline via
@@ -75,9 +77,6 @@ type Config struct {
 	// KeepIrregular enables the Gcc extension of the sub-trace filter.
 	KeepIrregular bool
 
-	// Qualification, Temporal, Spatial seed the sampling thresholds
-	// (defaults as offline).
-	Qualification, Temporal, Spatial int64
 	// TargetRate is the access-sample collection rate the feedback
 	// loop aims for, in samples per access (default 0.05).
 	TargetRate float64
@@ -146,9 +145,6 @@ func DefaultConfig() Config {
 		Alpha:          phasedet.DefaultAlpha,
 		MaxSpan:        4000,
 		Wavelet:        wavelet.Daubechies6,
-		Qualification:  512,
-		Temporal:       512,
-		Spatial:        1024,
 		TargetRate:     0.05,
 		CheckEvery:     10000,
 		MaxGrammar:     4096,
@@ -204,15 +200,6 @@ func (c Config) withDefaults() Config {
 		// The zero Family is Haar, but a zero Config means "defaults"
 		// here, so it takes the paper's Daubechies-6.
 		c.Wavelet = def.Wavelet
-	}
-	if c.Qualification <= 0 {
-		c.Qualification = def.Qualification
-	}
-	if c.Temporal <= 0 {
-		c.Temporal = def.Temporal
-	}
-	if c.Spatial <= 0 {
-		c.Spatial = def.Spatial
 	}
 	if c.TargetRate <= 0 {
 		c.TargetRate = def.TargetRate

@@ -2,11 +2,11 @@ package online
 
 import (
 	"math"
-	"sort"
 
 	"lpp/internal/core"
 	"lpp/internal/phase"
 	"lpp/internal/reuse"
+	"lpp/internal/sampling"
 	"lpp/internal/trace"
 )
 
@@ -68,16 +68,16 @@ type Detector struct {
 	blocks int64
 	instrs int64
 
-	// Sampling state.
-	qual, temporal, spatial int64
-	dataIDs                 *trace.AddrIndex // datum address -> slot in data
-	data                    []*datum
-	sorted                  []trace.Addr
-	free                    []int // reclaimed datum slots awaiting reuse
-	samples                 int64
-	lastCheck               int64
-	lastCheckSamples        int64
-	adjustments             int
+	// Sampling state: the selection rule shared with offline sampling
+	// (thresholds, spatial set, datum address -> slot in data), held by
+	// value so the per-access path takes no extra pointer hop.
+	sel              sampling.Selector
+	data             []*datum
+	free             []int // reclaimed datum slots awaiting reuse
+	samples          int64
+	lastCheck        int64
+	lastCheckSamples int64
+	adjustments      int
 
 	evictRetry int64 // next time a full-table eviction scan may run
 	deferFlush bool  // suppress window flushes during Flush's decision loop
@@ -125,24 +125,21 @@ func NewDetector(cfg Config) *Detector {
 	return &Detector{
 		cfg:      cfg,
 		analyzer: reuse.NewApproxAnalyzer(cfg.Epsilon),
-		qual:     cfg.Qualification,
-		temporal: cfg.Temporal,
-		spatial:  cfg.Spatial,
-		dataIDs:  newDataIndex(cfg),
+		sel:      newSelector(cfg),
 		stride:   1,
 		hier:     newHierarchy(cfg),
 		filter:   core.NewSubTraceFilter(cfg.Wavelet, cfg.KeepIrregular),
 	}
 }
 
-// newDataIndex returns an empty datum index. Most lookups in sample
-// miss (the address is not a tracked datum), and a miss probes up to
-// the first empty slot, so the index is sized to stay at most 1/8 full
-// at the MaxDataSamples cap: a miss then averages ~1.15 probes, where
-// at 1/2 load it would average 2.5. At the default cap of 512 that is
-// 4096 slots (64 KB) per detector, small beside the analyzer's index.
-func newDataIndex(cfg Config) *trace.AddrIndex {
-	return trace.NewAddrIndex(4 * cfg.MaxDataSamples)
+// newSelector returns the sampling rule seeded with the offline
+// thresholds. Its datum index is sized to stay at most 1/8 full at the
+// MaxDataSamples cap: a miss, the common case, then averages ~1.15
+// probes, where at 1/2 load it would average 2.5. At the default cap
+// of 512 that is 4096 slots (64 KB) per detector, small beside the
+// analyzer's index.
+func newSelector(cfg Config) sampling.Selector {
+	return sampling.NewSelector(sampling.DefaultConfig(), 4*cfg.MaxDataSamples)
 }
 
 // Block implements trace.Instrumenter.
@@ -163,18 +160,14 @@ func (d *Detector) Access(addr trace.Addr) {
 // sampling and the threshold feedback loop — on one reference whose
 // reuse distance is already known.
 func (d *Detector) sample(t int64, addr trace.Addr, dist int64) {
-	if dist != reuse.Infinite {
-		if id, ok := d.dataIDs.Get(addr); ok {
-			if dist > d.temporal {
-				d.recordSample(int(id), t, dist)
-			}
-		} else if dist > d.qual && d.spatiallySeparate(addr) {
-			if id, ok := d.claimSlot(); ok {
-				d.dataIDs.Swap(addr, int64(id))
-				d.data[id] = &datum{addr: addr}
-				d.insertSorted(addr)
-				d.recordSample(id, t, dist)
-			}
+	switch id, v := d.sel.Select(addr, dist); v {
+	case sampling.Record:
+		d.recordSample(id, t, dist)
+	case sampling.Admit:
+		if id, ok := d.claimSlot(); ok {
+			d.sel.Add(addr, id)
+			d.data[id] = &datum{addr: addr}
+			d.recordSample(id, t, dist)
 		}
 	}
 
@@ -392,26 +385,6 @@ func (d *Detector) emit(ev phase.Event) {
 	d.events = append(d.events, ev)
 }
 
-// spatiallySeparate reports whether addr keeps the spatial threshold
-// from every existing data sample.
-func (d *Detector) spatiallySeparate(addr trace.Addr) bool {
-	i := sort.Search(len(d.sorted), func(i int) bool { return d.sorted[i] >= addr })
-	if i < len(d.sorted) && int64(d.sorted[i]-addr) < d.spatial {
-		return false
-	}
-	if i > 0 && int64(addr-d.sorted[i-1]) < d.spatial {
-		return false
-	}
-	return true
-}
-
-func (d *Detector) insertSorted(addr trace.Addr) {
-	i := sort.Search(len(d.sorted), func(i int) bool { return d.sorted[i] >= addr })
-	d.sorted = append(d.sorted, 0)
-	copy(d.sorted[i+1:], d.sorted[i:])
-	d.sorted[i] = addr
-}
-
 // feedback adapts the sampling thresholds toward the target rate,
 // measured over the interval since the last check — the streaming
 // analog of offline sampling's whole-run pacing.
@@ -427,40 +400,20 @@ func (d *Detector) feedback() {
 	// bursts are common (a recurring phase re-qualifies all its data
 	// at once), and overshooting the clamp-down would blind the
 	// detector for many checks while the thresholds decay back.
+	s := &d.sel
 	switch {
 	case got > 1.5*expected:
-		factor := int64(got / expected)
-		if factor < 2 {
-			factor = 2
-		}
-		if factor > 4 {
-			factor = 4
-		}
-		d.qual *= factor
-		d.temporal *= factor
-		d.spatial *= 2
+		s.Raise(got, expected, 4)
 		d.adjustments++
-	case got < 0.25*expected && d.qual > 16:
-		factor := int64(1)
+	case got < 0.25*expected && s.Qual > 16:
+		factor := int64(2)
 		if got > 0 {
-			factor = int64(expected / got)
+			factor = min(max(int64(expected/got), 2), 4)
 		}
-		if factor < 2 {
-			factor = 2
-		}
-		if factor > 4 {
-			factor = 4
-		}
-		d.qual /= factor
-		if d.qual < 16 {
-			d.qual = 16
-		}
-		d.temporal /= factor
-		if d.temporal < 16 {
-			d.temporal = 16
-		}
-		if d.spatial > 64 {
-			d.spatial /= 2
+		s.Qual = max(s.Qual/factor, 16)
+		s.Temporal = max(s.Temporal/factor, 16)
+		if s.Spatial > 64 {
+			s.Spatial /= 2
 		}
 		d.adjustments++
 	}
@@ -534,16 +487,8 @@ func (d *Detector) dropDatum(id int) {
 			dt.undecided++
 		}
 	}
-	d.dataIDs.Delete(dt.addr)
-	d.removeSorted(dt.addr)
+	d.sel.Remove(dt.addr)
 	d.data[id] = nil
-}
-
-func (d *Detector) removeSorted(addr trace.Addr) {
-	i := sort.Search(len(d.sorted), func(i int) bool { return d.sorted[i] >= addr })
-	if i < len(d.sorted) && d.sorted[i] == addr {
-		d.sorted = append(d.sorted[:i], d.sorted[i+1:]...)
-	}
 }
 
 // spikeOverFlat supplements the shared offline filter for short

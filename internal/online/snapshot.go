@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 
 	"lpp/internal/codec"
 	"lpp/internal/core"
 	"lpp/internal/phase"
 	"lpp/internal/reuse"
+	"lpp/internal/sampling"
 	"lpp/internal/sequitur"
 	"lpp/internal/trace"
 )
@@ -58,9 +58,13 @@ func (c Config) fingerprint() uint64 {
 	e.Num(c.MaxSpan)
 	e.Num(int(c.Wavelet))
 	e.Flag(c.KeepIrregular)
-	e.I64(c.Qualification)
-	e.I64(c.Temporal)
-	e.I64(c.Spatial)
+	// The initial sampling thresholds are fixed, but they keep their
+	// slots so that fingerprints, and the image headers that carry
+	// them, stay stable.
+	seed := sampling.DefaultConfig()
+	e.I64(seed.Qualification)
+	e.I64(seed.Temporal)
+	e.I64(seed.Spatial)
 	e.F64(c.TargetRate)
 	e.I64(c.CheckEvery)
 	e.I64(c.DecideHorizon)
@@ -110,9 +114,9 @@ func (d *Detector) Snapshot() []byte {
 	e.I64(d.now)
 	e.I64(d.blocks)
 	e.I64(d.instrs)
-	e.I64(d.qual)
-	e.I64(d.temporal)
-	e.I64(d.spatial)
+	e.I64(d.sel.Qual)
+	e.I64(d.sel.Temporal)
+	e.I64(d.sel.Spatial)
 	e.I64(d.samples)
 	e.I64(d.lastCheck)
 	e.I64(d.lastCheckSamples)
@@ -145,7 +149,8 @@ func (d *Detector) Snapshot() []byte {
 		e.I64(ast.BucketCounts[i])
 	}
 
-	// Sampler slots (dataIDs and sorted are derived on restore).
+	// Sampler slots (the selector's index and spatial set are derived
+	// on restore).
 	e.Num(len(d.data))
 	for _, dt := range d.data {
 		if dt == nil {
@@ -255,9 +260,10 @@ func (d *Detector) Restore(data []byte) error {
 	nd.now = dec.I64()
 	nd.blocks = dec.I64()
 	nd.instrs = dec.I64()
-	nd.qual = dec.I64()
-	nd.temporal = dec.I64()
-	nd.spatial = dec.I64()
+	nd.sel = newSelector(nd.cfg)
+	nd.sel.Qual = dec.I64()
+	nd.sel.Temporal = dec.I64()
+	nd.sel.Spatial = dec.I64()
 	nd.samples = dec.I64()
 	nd.lastCheck = dec.I64()
 	nd.lastCheckSamples = dec.I64()
@@ -275,6 +281,11 @@ func (d *Detector) Restore(data []byte) error {
 	nd.suppressed = dec.I64()
 	if dec.Err() == nil && (nd.stride < 1 || nd.stride > nd.cfg.MaxStride) {
 		dec.Fail("stride %d out of [1,%d]", nd.stride, nd.cfg.MaxStride)
+	}
+	// Feedback only ever scales positive thresholds, and a zero one
+	// never recovers: 0 stays 0 under Raise and blocks lowering.
+	if dec.Err() == nil && (nd.sel.Qual <= 0 || nd.sel.Temporal <= 0 || nd.sel.Spatial <= 0) {
+		dec.Fail("thresholds %d/%d/%d not positive", nd.sel.Qual, nd.sel.Temporal, nd.sel.Spatial)
 	}
 
 	// Analyzer.
@@ -311,7 +322,6 @@ func (d *Detector) Restore(data []byte) error {
 		dec.Fail("%d slots exceed cap %d", nSlots, nd.cfg.MaxDataSamples)
 	}
 	nd.data = make([]*datum, 0, nSlots)
-	nd.dataIDs = newDataIndex(nd.cfg)
 	nils := 0
 	for i := 0; i < nSlots && dec.Err() == nil; i++ {
 		if !dec.Flag() {
@@ -338,14 +348,12 @@ func (d *Detector) Restore(data []byte) error {
 			dec.Fail("undecided %d out of window %d", dt.undecided, len(dt.times))
 			break
 		}
-		if _, dup := nd.dataIDs.Swap(dt.addr, int64(len(nd.data))); dup {
+		if !nd.sel.Add(dt.addr, len(nd.data)) {
 			dec.Fail("duplicate datum address %#x", uint64(dt.addr))
 			break
 		}
-		nd.sorted = append(nd.sorted, dt.addr)
 		nd.data = append(nd.data, dt)
 	}
-	slices.Sort(nd.sorted)
 	nFree := dec.Length(1)
 	if dec.Err() == nil && nFree != nils {
 		dec.Fail("%d free ids but %d empty slots", nFree, nils)

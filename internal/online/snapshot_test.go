@@ -173,6 +173,14 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 	if err := fresh().Restore(miscountedSnapshot(t, d)); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("miscounted analyzer buckets: err = %v, want ErrSnapshotCorrupt", err)
 	}
+	// Sampling thresholds no feedback step produces, under a valid CRC:
+	// a zero qualification threshold would sample every non-cold
+	// access forever.
+	for _, th := range [][3]int64{{0, 512, 1024}, {512, 0, 1024}, {512, 512, 0}, {-512, 512, 1024}} {
+		if err := fresh().Restore(thresholdSnapshot(t, d, th)); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("thresholds %v: err = %v, want ErrSnapshotCorrupt", th, err)
+		}
+	}
 
 	// A failed restore must leave the target detector intact.
 	target := NewDetector(Config{})
@@ -208,6 +216,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 	skew = binary.LittleEndian.AppendUint32(skew, crc32.ChecksumIEEE(skew))
 	f.Add(skew)
 	f.Add(miscountedSnapshot(f, d))
+	f.Add(thresholdSnapshot(f, d, [3]int64{0, 512, 1024}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nd := NewDetector(Config{})
@@ -259,6 +268,28 @@ func miscountedSnapshot(tb testing.TB, d *Detector) []byte {
 	}
 	out := append(slices.Clone(body[:at]), section(bad)...)
 	return codec.Seal(append(out, body[at+len(old):]...))
+}
+
+// thresholdSnapshot returns d's snapshot with its sampling thresholds
+// (qualification, temporal, spatial) replaced by th, resealed.
+func thresholdSnapshot(tb testing.TB, d *Detector, th [3]int64) []byte {
+	tb.Helper()
+	scalars := func(qual, temporal, spatial int64) []byte {
+		var e codec.Enc
+		for _, v := range []int64{d.now, d.blocks, d.instrs, qual, temporal, spatial} {
+			e.I64(v)
+		}
+		return e.Buf
+	}
+	body := d.Snapshot()
+	body = body[:len(body)-4]
+	header := len(snapMagic) + 1 + 8
+	old := scalars(d.sel.Qual, d.sel.Temporal, d.sel.Spatial)
+	if !bytes.HasPrefix(body[header:], old) {
+		tb.Fatal("threshold scalars not found after the snapshot header")
+	}
+	out := append(slices.Clone(body[:header]), scalars(th[0], th[1], th[2])...)
+	return codec.Seal(append(out, body[header+len(old):]...))
 }
 
 // TestIntSetRejectsUnwrittenBytes pins that a page-signature set

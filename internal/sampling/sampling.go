@@ -5,12 +5,11 @@
 // samples. The three thresholds of Ding and Zhong's distance-based
 // sampling [12] — qualification, temporal, and spatial — are hard to
 // pick by hand, so this sampler adjusts them by dynamic feedback
-// toward a target sample count.
+// toward a target sample count. The selection rule itself (Selector)
+// is shared with the streaming detector, which paces it differently.
 package sampling
 
 import (
-	"sort"
-
 	"lpp/internal/reuse"
 	"lpp/internal/trace"
 )
@@ -33,11 +32,13 @@ type Config struct {
 	// CheckEvery is the feedback interval in accesses.
 	CheckEvery int64
 	// ExpectedLength is the anticipated trace length used to pace
-	// the feedback; zero means adapt from what has been seen.
+	// the feedback; zero or less takes the length of the sampled
+	// stream.
 	ExpectedLength int64
 }
 
 // DefaultConfig returns the settings used throughout the evaluation.
+// Its thresholds also seed the streaming detector's sampler.
 func DefaultConfig() Config {
 	return Config{
 		TargetSamples: 20000,
@@ -67,18 +68,6 @@ type Result struct {
 	Accesses    int64        // accesses processed
 }
 
-// SubTrace returns, for data sample id, the indices into r.Samples of
-// its access samples, in time order.
-func (r *Result) SubTrace(id int) []int {
-	var out []int
-	for i, s := range r.Samples {
-		if s.Data == id {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // SubTraces groups sample indices by data sample, preserving time
 // order within each group.
 func (r *Result) SubTraces() [][]int {
@@ -89,36 +78,27 @@ func (r *Result) SubTraces() [][]int {
 	return out
 }
 
-// Sampler consumes a data-access stream and collects samples. It
-// implements trace.Instrumenter so it can run off a live workload or a
-// replayed trace.
-type Sampler struct {
-	cfg      Config
-	analyzer *reuse.Analyzer
-	now      int64
+// sampler is the offline pacing around the shared Selector. It paces
+// against a whole-run budget: the sample count expected by now is
+// TargetSamples scaled by the share of ExpectedLength seen, overshoot
+// raises the thresholds by up to 16x, undershoot halves them, and
+// samples over twice the budget are decimated. Data-sample IDs are
+// assigned in admission order.
+type sampler struct {
+	cfg Config
+	sel Selector
+	now int64
 
-	qual, temporal, spatial int64
-
-	dataIDs   map[trace.Addr]int
-	dataAddrs []trace.Addr
-	sorted    []trace.Addr // data-sample addresses for spatial checks
-
+	dataAddrs   []trace.Addr
 	samples     []Sample
 	adjustments int
 	lastCheck   int64
 }
 
-// New returns a Sampler with the given configuration (zero fields take
-// defaults).
-func New(cfg Config) *Sampler {
-	s := newSampler(cfg)
-	s.analyzer = reuse.NewAnalyzer()
-	return s
-}
-
-// newSampler builds a Sampler without a reuse analyzer — for callers
-// that feed precomputed distances through AccessDist.
-func newSampler(cfg Config) *Sampler {
+// newSampler returns a sampler for a stream of length accesses; zero
+// Config fields take defaults, and a non-positive ExpectedLength takes
+// length.
+func newSampler(cfg Config, length int) *sampler {
 	def := DefaultConfig()
 	if cfg.TargetSamples <= 0 {
 		cfg.TargetSamples = def.TargetSamples
@@ -135,45 +115,30 @@ func newSampler(cfg Config) *Sampler {
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = def.CheckEvery
 	}
-	return &Sampler{
-		cfg:      cfg,
-		qual:     cfg.Qualification,
-		temporal: cfg.Temporal,
-		spatial:  cfg.Spatial,
-		dataIDs:  make(map[trace.Addr]int),
+	if cfg.ExpectedLength <= 0 {
+		cfg.ExpectedLength = int64(length)
 	}
+	// Data samples peak at 3,503 (swim Train) against the default
+	// budget of 20,000, so an index sized for the budget stays sparse.
+	return &sampler{cfg: cfg, sel: NewSelector(cfg, cfg.TargetSamples)}
 }
 
-// Block implements trace.Instrumenter (ignored).
-func (s *Sampler) Block(trace.BlockID, int) {}
-
-// Access feeds one data access to the sampler.
-func (s *Sampler) Access(addr trace.Addr) {
-	s.AccessDist(addr, s.analyzer.Access(addr))
-}
-
-// AccessDist feeds one data access whose reuse distance has already
-// been measured. It is the pipelined entry point: the exact
-// reuse-distance analysis — the expensive, threshold-independent part
-// of sampling — can run concurrently with trace generation, and the
-// threshold/feedback logic (which needs the final trace length for
-// pacing) replays the (addr, dist) stream afterwards. Feeding the same
-// stream through Access and AccessDist yields bit-identical results.
-func (s *Sampler) AccessDist(addr trace.Addr, dist int64) {
+// access feeds one data access whose reuse distance is dist.
+func (s *sampler) access(addr trace.Addr, dist int64) {
 	t := s.now
 	s.now++
 	if dist == reuse.Infinite {
+		// A cold access advances time only: it is never sampled,
+		// and the feedback check waits for the next warm access.
 		return
 	}
-	if id, ok := s.dataIDs[addr]; ok {
-		if dist > s.temporal {
-			s.samples = append(s.samples, Sample{Time: t, Data: id, Dist: dist})
-		}
-	} else if dist > s.qual && s.spatiallySeparate(addr) {
+	switch id, v := s.sel.Select(addr, dist); v {
+	case Record:
+		s.samples = append(s.samples, Sample{Time: t, Data: id, Dist: dist})
+	case Admit:
 		id := len(s.dataAddrs)
-		s.dataIDs[addr] = id
+		s.sel.Add(addr, id)
 		s.dataAddrs = append(s.dataAddrs, addr)
-		s.insertSorted(addr)
 		s.samples = append(s.samples, Sample{Time: t, Data: id, Dist: dist})
 	}
 	if s.now-s.lastCheck >= s.cfg.CheckEvery {
@@ -182,59 +147,21 @@ func (s *Sampler) AccessDist(addr trace.Addr, dist int64) {
 	}
 }
 
-// spatiallySeparate reports whether addr keeps the spatial threshold
-// from every existing data sample.
-func (s *Sampler) spatiallySeparate(addr trace.Addr) bool {
-	i := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i] >= addr })
-	if i < len(s.sorted) && int64(s.sorted[i]-addr) < s.spatial {
-		return false
-	}
-	if i > 0 && int64(addr-s.sorted[i-1]) < s.spatial {
-		return false
-	}
-	return true
-}
-
-func (s *Sampler) insertSorted(addr trace.Addr) {
-	i := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i] >= addr })
-	s.sorted = append(s.sorted, 0)
-	copy(s.sorted[i+1:], s.sorted[i:])
-	s.sorted[i] = addr
-}
-
-// feedback compares the sample-collection rate against the target pace
-// and adjusts the thresholds: collecting too fast doubles them,
-// collecting too slowly (with room in the budget) halves them.
-func (s *Sampler) feedback() {
-	var expected float64
-	if s.cfg.ExpectedLength > 0 {
-		expected = float64(s.cfg.TargetSamples) * float64(s.now) / float64(s.cfg.ExpectedLength)
-	} else {
-		// Without a length estimate, pace against the budget
-		// directly: never let the sample count run far past it.
-		expected = float64(s.cfg.TargetSamples)
-	}
+// feedback compares the sample count against the whole-run pace and
+// adjusts the thresholds: collecting too fast raises them, collecting
+// too slowly halves them.
+func (s *sampler) feedback() {
+	expected := float64(s.cfg.TargetSamples) * float64(s.now) / float64(s.cfg.ExpectedLength)
 	got := float64(len(s.samples))
 	switch {
 	case got > 1.5*expected:
-		// Scale up in proportion to the overshoot so even an
-		// adversarial trace converges in a handful of adjustments.
-		factor := int64(got / expected)
-		if factor < 2 {
-			factor = 2
-		}
-		if factor > 16 {
-			factor = 16
-		}
-		s.qual *= factor
-		s.temporal *= factor
-		s.spatial *= 2
+		s.sel.Raise(got, expected, 16)
 		s.adjustments++
-	case s.cfg.ExpectedLength > 0 && got < 0.25*expected && s.qual > 16:
-		s.qual /= 2
-		s.temporal /= 2
-		if s.spatial > 64 {
-			s.spatial /= 2
+	case got < 0.25*expected && s.sel.Qual > 16:
+		s.sel.Qual /= 2
+		s.sel.Temporal /= 2
+		if s.sel.Spatial > 64 {
+			s.sel.Spatial /= 2
 		}
 		s.adjustments++
 	}
@@ -252,8 +179,8 @@ func (s *Sampler) feedback() {
 	}
 }
 
-// Result freezes the sampler's collected samples.
-func (s *Sampler) Result() Result {
+// result freezes the sampler's collected samples.
+func (s *sampler) result() Result {
 	return Result{
 		Samples:     s.samples,
 		DataAddrs:   s.dataAddrs,
@@ -262,30 +189,29 @@ func (s *Sampler) Result() Result {
 	}
 }
 
-// RunTrace samples a recorded access stream.
+// RunTrace samples a recorded access stream, measuring each access's
+// exact reuse distance as it goes.
 func RunTrace(accesses []trace.Addr, cfg Config) Result {
-	if cfg.ExpectedLength == 0 {
-		cfg.ExpectedLength = int64(len(accesses))
-	}
-	s := New(cfg)
+	s := newSampler(cfg, len(accesses))
+	an := reuse.NewAnalyzer()
 	for _, a := range accesses {
-		s.Access(a)
+		s.access(a, an.Access(a))
 	}
-	return s.Result()
+	return s.result()
 }
 
 // RunTraceDists samples a recorded access stream whose reuse distances
-// were measured elsewhere (e.g. by an analyzer pipelined with trace
-// generation). dists[i] must be the exact reuse distance of
-// accesses[i]; the result is bit-identical to RunTrace over the same
-// stream.
+// were measured elsewhere. It is the pipelined entry point: the exact
+// reuse-distance analysis — the expensive, threshold-independent part
+// of sampling — can run concurrently with trace generation, and the
+// threshold feedback (which needs the final trace length for pacing)
+// replays the (addr, dist) stream afterwards. dists[i] must be the
+// exact reuse distance of accesses[i]; the result is then bit-identical
+// to RunTrace over the same stream.
 func RunTraceDists(accesses []trace.Addr, dists []int64, cfg Config) Result {
-	if cfg.ExpectedLength == 0 {
-		cfg.ExpectedLength = int64(len(accesses))
-	}
-	s := newSampler(cfg)
+	s := newSampler(cfg, len(accesses))
 	for i, a := range accesses {
-		s.AccessDist(a, dists[i])
+		s.access(a, dists[i])
 	}
-	return s.Result()
+	return s.result()
 }

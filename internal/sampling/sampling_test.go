@@ -110,21 +110,12 @@ func TestSubTraces(t *testing.T) {
 	if subs[0][0] != 0 || subs[0][1] != 2 {
 		t.Errorf("sub-trace of data 0 = %v, want [0 2]", subs[0])
 	}
-	single := r.SubTrace(1)
-	if len(single) != 1 || single[0] != 1 {
-		t.Errorf("SubTrace(1) = %v", single)
-	}
 }
 
 func TestSamplerDefaults(t *testing.T) {
-	s := New(Config{})
+	s := newSampler(Config{}, 0)
 	if s.cfg.TargetSamples != DefaultConfig().TargetSamples {
 		t.Error("zero config should take defaults")
-	}
-	// Block events are ignored without effect.
-	s.Block(1, 10)
-	if s.now != 0 {
-		t.Error("Block should not advance logical time")
 	}
 }
 
