@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -181,7 +182,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 
 // send issues the forwarded request to owner.
 func (rt *Router) send(r *http.Request, owner string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequest(r.Method, owner+r.URL.RequestURI(), strings.NewReader(string(body)))
+	req, err := http.NewRequest(r.Method, owner+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}

@@ -48,15 +48,15 @@ type Config struct {
 	// programs whose phase lengths cannot be predicted. The detected
 	// phases are then typically flagged inconsistent.
 	KeepIrregular bool
-	// Workers bounds the worker pool Detect may use: it pipelines
-	// trace generation with the exact reuse-distance analysis and fans
-	// the per-data-sample wavelet filtering out across
-	// min(Workers, GOMAXPROCS-equivalent) goroutines. 0 means
-	// GOMAXPROCS; 1 forces Detect's strictly sequential path. The
-	// predicted runs (Predict, PredictAll, PredictAllWith,
-	// PredictStatistical) take no Config: they always pipeline the
-	// marked run with its cache simulation. Every output is
-	// bit-identical at every setting.
+	// Workers bounds the goroutines Detect and DetectTrace may use:
+	// the exact reuse-distance pass is split across Workers analyzers
+	// (traces too short to split stay on one) with the sampler
+	// trailing them, and the per-data-sample wavelet filtering fans out
+	// across as many goroutines. 0 means GOMAXPROCS; 1 forces the
+	// strictly sequential path. The predicted runs (Predict,
+	// PredictAll, PredictAllWith, PredictStatistical) take no Config:
+	// they always pipeline the marked run with its cache simulation.
+	// Every output is bit-identical at every setting.
 	Workers int
 }
 
@@ -119,42 +119,36 @@ type Detection struct {
 }
 
 // Detect runs the full off-line analysis over one training execution
-// of prog. With more than one worker configured (the default resolves
-// to GOMAXPROCS), trace generation is pipelined with the exact
-// reuse-distance analysis: the workload streams its accesses to an
-// analyzer goroutine in batches, so the analyzer — the expensive,
-// strictly sequential part of sampling — never idles waiting for the
-// full trace. The threshold/feedback half of sampling (which needs the
-// final trace length for pacing) then replays the precomputed
-// distances, making the result bit-identical to the sequential path.
+// of prog: it records the run, then analyzes it as DetectTrace does.
 func Detect(prog trace.Runner, cfg Config) (*Detection, error) {
 	// Step 0: collect the training trace (ATOM's role).
 	rec := trace.NewRecorder(1<<20, 1<<16)
-	if cfg.workers() <= 1 {
-		prog.Run(rec)
-		return DetectTrace(&rec.T, cfg)
-	}
-	pipe := newDistPipeline()
-	prog.Run(trace.Tee{rec, pipe})
-	dists := pipe.Wait()
-	cfg, scfg, err := normalizeConfig(&rec.T, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := sampling.RunTraceDists(rec.T.Accesses, dists, scfg)
-	return finishDetection(&rec.T, cfg, res)
+	prog.Run(rec)
+	return DetectTrace(&rec.T, cfg)
 }
 
 // DetectTrace runs the off-line analysis over an already-recorded
 // training trace — e.g. one captured to a file with trace.Writer and
-// replayed with trace.ReadFile.
+// replayed with trace.ReadFile. With more than one worker configured
+// (the default resolves to GOMAXPROCS), the exact reuse-distance pass,
+// the expensive and otherwise strictly sequential part of sampling, is
+// split across that many analyzers (reuse.SplitDistances), and the
+// sampler's threshold feedback, which needs only the trace length for
+// pacing, replays each finished prefix of distances while the
+// analyzers still run. The result is bit-identical to the sequential
+// path that Workers: 1 takes.
 func DetectTrace(t *trace.Recorded, cfg Config) (*Detection, error) {
 	cfg, scfg, err := normalizeConfig(t, cfg)
 	if err != nil {
 		return nil, err
 	}
 	// Step 1: variable-distance sampling of the reuse trace.
-	res := sampling.RunTrace(t.Accesses, scfg)
+	var res sampling.Result
+	if w := cfg.workers(); w > 1 {
+		res = sampling.RunTraceSplit(t.Accesses, w, scfg)
+	} else {
+		res = sampling.RunTrace(t.Accesses, scfg)
+	}
 	return finishDetection(t, cfg, res)
 }
 

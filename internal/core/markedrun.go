@@ -24,10 +24,25 @@ type markerFiring struct {
 	instrs   int64
 }
 
+// batchAccesses is the number of accesses one batch carries: large
+// enough to amortize channel synchronization against millions of
+// accesses, small enough that the simulator starts long before the
+// program finishes.
+const batchAccesses = 1 << 13
+
 // batchMarks bounds the marker firings one batch carries, so a run
 // that fires markers without touching data still hands off in bounded
 // batches.
 const batchMarks = 1 << 10
+
+// pipeDepth is how many batches the channel buffers between the
+// program and the simulator: 64K accesses of slack, so neither side
+// stalls on the other's momentary slowdowns. The free list holds
+// pipeDepth+2, every batch that can be in circulation (those in the
+// channel, the one being consumed and the one being filled), so the
+// simulator never drops a used batch and the program allocates at most
+// that many.
+const pipeDepth = 8
 
 // markedTap is the producer half of runMarked: a trace.Instrumenter
 // that does what marker.Instrumented does on the program's goroutine —
@@ -57,7 +72,7 @@ func (p *markedTap) Block(id trace.BlockID, instrs int) {
 // Access implements trace.Instrumenter.
 func (p *markedTap) Access(addr trace.Addr) {
 	p.cur.addrs = append(p.cur.addrs, addr)
-	if len(p.cur.addrs) == distBatch {
+	if len(p.cur.addrs) == batchAccesses {
 		p.flush()
 	}
 }
@@ -70,7 +85,7 @@ func (p *markedTap) flush() {
 	select {
 	case p.cur = <-p.free:
 	default:
-		p.cur = markedBatch{addrs: make([]trace.Addr, 0, distBatch)}
+		p.cur = markedBatch{addrs: make([]trace.Addr, 0, batchAccesses)}
 	}
 }
 
@@ -78,17 +93,17 @@ func (p *markedTap) flush() {
 // to sim and calling onMarker at each marker firing, with sim holding
 // exactly the accesses before it — the observable behavior of running
 // prog through marker.NewInstrumented(markers, sim, onMarker). It
-// pipelines the two halves the way Detect pipelines its analyzer: the
-// program runs on the caller's goroutine into a batching tap, and one
-// goroutine replays each batch, simulating the accesses between
-// firings with sim.AccessBatch and calling onMarker in between. So
+// pipelines the two halves: the program runs on the caller's goroutine
+// into a batching tap, and one goroutine replays each batch,
+// simulating the accesses between firings with sim.AccessBatch and
+// calling onMarker in between. So
 // onMarker runs on that goroutine, strictly in order, and everything
 // it touched is visible to the caller once runMarked returns; a panic
 // in it resurfaces on the caller's. It returns the run's totals.
 func runMarked(prog trace.Runner, markers map[trace.BlockID]marker.PhaseID, sim *cache.MultiAssoc, onMarker marker.Callback) (accesses, instrs int64) {
 	tap := &markedTap{
 		markers: markers,
-		cur:     markedBatch{addrs: make([]trace.Addr, 0, distBatch)},
+		cur:     markedBatch{addrs: make([]trace.Addr, 0, batchAccesses)},
 		ch:      make(chan markedBatch, pipeDepth),
 		free:    make(chan markedBatch, pipeDepth+2),
 	}

@@ -144,17 +144,17 @@ func syntheticScripts() map[string]script {
 	return map[string]script{
 		"empty": nil,
 		"first-of-run": build(func(b *synthProg) {
-			b.block(markerA, 4).accesses(2*distBatch+17).block(markerB, 4).accesses(distBatch / 2)
+			b.block(markerA, 4).accesses(2*batchAccesses+17).block(markerB, 4).accesses(batchAccesses / 2)
 		}),
 		"after-full-batch": build(func(b *synthProg) {
 			b.s = append(b.s, scriptEvent{addr: 64})
 			for i := 0; i < 4; i++ {
-				// Exactly distBatch accesses since the last flush, so the
-				// firing opens the next batch; the unmarked blocks inside
-				// accesses do not count toward the batch.
-				n := distBatch - 1
+				// Exactly batchAccesses accesses since the last flush, so
+				// the firing opens the next batch; the unmarked blocks
+				// inside accesses do not count toward the batch.
+				n := batchAccesses - 1
 				if i > 0 {
-					n = distBatch
+					n = batchAccesses
 				}
 				for k := 0; k < n; k++ {
 					b.s = append(b.s, scriptEvent{addr: trace.Addr(b.rng.Intn(1<<15)) << 6})
@@ -164,7 +164,7 @@ func syntheticScripts() map[string]script {
 			b.accesses(300)
 		}),
 		"last-event": build(func(b *synthProg) {
-			b.accesses(distBatch+distBatch/2).block(markerA, 3).accesses(100).block(markerB, 3)
+			b.accesses(batchAccesses+batchAccesses/2).block(markerA, 3).accesses(100).block(markerB, 3)
 		}),
 		"no-accesses": build(func(b *synthProg) {
 			for i := 0; i < 50; i++ {
@@ -179,9 +179,9 @@ func syntheticScripts() map[string]script {
 					b.accesses(i % 7)
 				}
 			}
-			b.accesses(distBatch + 1)
+			b.accesses(batchAccesses + 1)
 		}),
-		"no-markers": build(func(b *synthProg) { b.accesses(3 * distBatch) }),
+		"no-markers": build(func(b *synthProg) { b.accesses(3 * batchAccesses) }),
 	}
 }
 

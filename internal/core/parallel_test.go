@@ -26,7 +26,7 @@ func TestDetectParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 4} {
+			for _, workers := range []int{2, 3, 4} {
 				parCfg := DefaultConfig()
 				parCfg.Workers = workers
 				got, err := Detect(spec.Make(train), parCfg)
@@ -85,12 +85,13 @@ func quickTrain(spec workload.Spec) workload.Params {
 	return p
 }
 
-// TestDistPipelineMatchesDirectAnalysis: the batched producer/consumer
-// hand-off must preserve the access order and hence the exact distance
-// stream, including a tail batch smaller than the batch size.
-func TestDistPipelineMatchesDirectAnalysis(t *testing.T) {
+// TestSplitDistancesMatchDirectAnalysis: the split reuse-distance pass
+// Detect runs with more than one worker must reproduce one analyzer's
+// distance stream, including a ragged last segment that an even split
+// leaves shorter or longer than the rest.
+func TestSplitDistancesMatchDirectAnalysis(t *testing.T) {
 	rng := stats.NewRNG(17)
-	n := distBatch*3 + 1234 // exercise full batches plus a ragged tail
+	n := 3<<16 + 1234 // long enough to split four ways, with a ragged tail
 	addrs := make([]trace.Addr, n)
 	for i := range addrs {
 		addrs[i] = trace.Addr(rng.Intn(4096) * 8)
@@ -102,12 +103,10 @@ func TestDistPipelineMatchesDirectAnalysis(t *testing.T) {
 		want[i] = an.Access(a)
 	}
 
-	pipe := newDistPipeline()
-	for _, a := range addrs {
-		pipe.Access(a)
-	}
-	got := pipe.Wait()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("pipelined distance stream diverges from direct analysis")
+	for _, workers := range []int{2, 3, 4} {
+		got := reuse.SplitDistances(addrs, workers, func(int, []int64) {})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: split distance stream diverges from direct analysis", workers)
+		}
 	}
 }

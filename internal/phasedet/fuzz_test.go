@@ -2,6 +2,7 @@ package phasedet
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -89,11 +90,12 @@ func bruteBestSpan(ids []int, alpha float64, span int) float64 {
 	return best
 }
 
-// FuzzPartition asserts, for arbitrary traces, that the partitioner's
-// boundaries are strictly increasing, interior to the trace, respect
-// the span bound, and cost no more (per PartitionCost) than the
-// singleton partition, uniform-stride partitions, and — for traces
-// small enough to enumerate — the true optimum.
+// FuzzPartition asserts, for arbitrary traces, that the partitioner
+// returns exactly the frozen partitioner's boundaries, that they are
+// strictly increasing, interior to the trace, respect the span bound,
+// and cost no more (per PartitionCost) than the singleton partition,
+// uniform-stride partitions, and — for traces small enough to
+// enumerate — the true optimum.
 func FuzzPartition(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3}, uint8(50), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(80), uint8(3))
@@ -117,6 +119,10 @@ func FuzzPartition(f *testing.F) {
 		}
 
 		bounds := Partition(ids, cfg)
+		if want := refPartition(ids, cfg); !slices.Equal(bounds, want) {
+			t.Fatalf("boundaries %v, frozen partitioner %v (ids %v span %d alpha %.2f)",
+				bounds, want, ids, span, alpha)
+		}
 		if n == 0 {
 			if len(bounds) != 0 {
 				t.Fatalf("empty trace produced boundaries %v", bounds)

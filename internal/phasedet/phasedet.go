@@ -45,16 +45,19 @@ func Partition(ids []int, cfg Config) []int {
 		span = n + 1
 	}
 
-	// Dense re-numbering of data-sample IDs for O(1) counting.
-	dense := make(map[int]int)
-	seq := make([]int, n)
-	for i, id := range ids {
-		d, ok := dense[id]
+	// prevOcc[k] is the index of the previous occurrence of ids[k], or
+	// -1: element k recurs within a segment starting at i exactly when
+	// prevOcc[k] >= i, so the recurrence count of [i, j) grows by one
+	// per such element without any per-segment bookkeeping.
+	prevOcc := make([]int, n)
+	last := make(map[int]int)
+	for k, id := range ids {
+		p, ok := last[id]
 		if !ok {
-			d = len(dense)
-			dense[id] = d
+			p = -1
 		}
-		seq[i] = d
+		prevOcc[k] = p
+		last[id] = k
 	}
 
 	// Nodes 0..n-1 are trace elements; node n is the sink. dist[j]
@@ -70,9 +73,6 @@ func Partition(ids []int, cfg Config) []int {
 		prev[i] = -1
 	}
 
-	counts := make([]int, len(dense))
-	var touched []int
-
 	// Source edges: source -> j covers segment [0, j). Weight
 	// α·r(0..j-1) + 1.
 	r := 0
@@ -82,20 +82,10 @@ func Partition(ids []int, cfg Config) []int {
 			dist[j] = w
 			prev[j] = -1 // from source
 		}
-		if j < n {
-			d := seq[j]
-			if counts[d] > 0 {
-				r++
-			} else {
-				touched = append(touched, d)
-			}
-			counts[d]++
+		if j < n && prevOcc[j] >= 0 {
+			r++
 		}
 	}
-	for _, d := range touched {
-		counts[d] = 0
-	}
-	touched = touched[:0]
 
 	// Edges i -> j (i < j ≤ n) cover segment [i, j): the phase that
 	// starts at element i ends right before element j.
@@ -104,18 +94,11 @@ func Partition(ids []int, cfg Config) []int {
 			continue
 		}
 		r = 0
-		limit := i + span
-		if limit > n {
-			limit = n
-		}
+		limit := min(i+span, n)
 		for j := i + 1; j <= limit; j++ {
-			d := seq[j-1]
-			if counts[d] > 0 {
+			if prevOcc[j-1] >= i {
 				r++
-			} else {
-				touched = append(touched, d)
 			}
-			counts[d]++
 			// Now [i, j) is accounted for.
 			w := dist[i] + alpha*float64(r) + 1
 			if w < dist[j] {
@@ -123,10 +106,6 @@ func Partition(ids []int, cfg Config) []int {
 				prev[j] = i
 			}
 		}
-		for _, d := range touched {
-			counts[d] = 0
-		}
-		touched = touched[:0]
 	}
 
 	// Walk back from the sink collecting boundaries.

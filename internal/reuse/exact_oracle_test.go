@@ -71,33 +71,38 @@ func FuzzAnalyzerMatchesReference(f *testing.F) {
 		if len(pattern) == 0 {
 			return
 		}
-		hotSet := trace.Addr(hot)%128 + 1
-		const total = 200_000
-		addrs := make([]trace.Addr, 0, total)
-		fresh := trace.Addr(1 << 30)
-		prev := trace.Addr(0)
-		for i := 0; len(addrs) < total; i++ {
-			b := pattern[i%len(pattern)]
-			switch {
-			case b < 128:
-				prev = trace.Addr(b) % hotSet
+		checkExactAgainstReference(t, patternStream(pattern, hot, 200_000), 1<<14)
+	})
+}
+
+// patternStream expands a fuzzer's pattern into total accesses, as
+// FuzzAnalyzerMatchesReference documents; pattern must be non-empty.
+func patternStream(pattern []byte, hot uint8, total int) []trace.Addr {
+	hotSet := trace.Addr(hot)%128 + 1
+	addrs := make([]trace.Addr, 0, total)
+	fresh := trace.Addr(1 << 30)
+	prev := trace.Addr(0)
+	for i := 0; len(addrs) < total; i++ {
+		b := pattern[i%len(pattern)]
+		switch {
+		case b < 128:
+			prev = trace.Addr(b) % hotSet
+			addrs = append(addrs, prev)
+		case b < 160:
+			addrs = append(addrs, prev)
+		case b < 192:
+			back := trace.Addr(b-159) * 997
+			if fresh-back > 1<<30 {
+				prev = fresh - back
+			}
+			addrs = append(addrs, prev)
+		default:
+			for k := 0; k < int(b-191)*64 && len(addrs) < total; k++ {
+				fresh++
+				prev = fresh
 				addrs = append(addrs, prev)
-			case b < 160:
-				addrs = append(addrs, prev)
-			case b < 192:
-				back := trace.Addr(b-159) * 997
-				if fresh-back > 1<<30 {
-					prev = fresh - back
-				}
-				addrs = append(addrs, prev)
-			default:
-				for k := 0; k < int(b-191)*64 && len(addrs) < total; k++ {
-					fresh++
-					prev = fresh
-					addrs = append(addrs, prev)
-				}
 			}
 		}
-		checkExactAgainstReference(t, addrs, 1<<14)
-	})
+	}
+	return addrs
 }

@@ -201,17 +201,29 @@ func RunTrace(accesses []trace.Addr, cfg Config) Result {
 }
 
 // RunTraceDists samples a recorded access stream whose reuse distances
-// were measured elsewhere. It is the pipelined entry point: the exact
-// reuse-distance analysis — the expensive, threshold-independent part
-// of sampling — can run concurrently with trace generation, and the
-// threshold feedback (which needs the final trace length for pacing)
-// replays the (addr, dist) stream afterwards. dists[i] must be the
-// exact reuse distance of accesses[i]; the result is then bit-identical
-// to RunTrace over the same stream.
+// were measured elsewhere: dists[i] must be the exact reuse distance of
+// accesses[i], and the result is then bit-identical to RunTrace over
+// the same stream.
 func RunTraceDists(accesses []trace.Addr, dists []int64, cfg Config) Result {
 	s := newSampler(cfg, len(accesses))
 	for i, a := range accesses {
 		s.access(a, dists[i])
 	}
+	return s.result()
+}
+
+// RunTraceSplit is RunTrace with the exact reuse-distance pass split
+// across up to workers analyzers (reuse.SplitDistances), bit-identical
+// to it. The feedback pacing needs only the trace length, known from
+// the start, so the sampler replays each run of distances as soon as
+// it is final, on the caller's goroutine, and trails the analyzers
+// instead of waiting for them.
+func RunTraceSplit(accesses []trace.Addr, workers int, cfg Config) Result {
+	s := newSampler(cfg, len(accesses))
+	reuse.SplitDistances(accesses, workers, func(lo int, dists []int64) {
+		for i, dist := range dists {
+			s.access(accesses[lo+i], dist)
+		}
+	})
 	return s.result()
 }

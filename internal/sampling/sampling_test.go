@@ -131,8 +131,8 @@ func TestSamplerColdAccessesNeverSampled(t *testing.T) {
 }
 
 // TestRunTraceDistsMatchesRunTrace: feeding precomputed reuse
-// distances through the pipelined entry point must reproduce RunTrace
-// bit for bit — core.Detect's pipelined mode depends on it.
+// distances, or trailing a split distance pass, must reproduce RunTrace
+// bit for bit — core.Detect's parallel mode depends on it.
 func TestRunTraceDistsMatchesRunTrace(t *testing.T) {
 	tr := phasedTrace(30000, 6)
 	cfg := Config{TargetSamples: 1500, CheckEvery: 5000}
@@ -149,5 +149,11 @@ func TestRunTraceDistsMatchesRunTrace(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("RunTraceDists diverges from RunTrace:\ngot  %+v samples=%d\nwant %+v samples=%d",
 			got, len(got.Samples), want, len(want.Samples))
+	}
+	for _, workers := range []int{2, 3} {
+		if got := RunTraceSplit(tr, workers, cfg); !reflect.DeepEqual(got, want) {
+			t.Errorf("RunTraceSplit at %d workers diverges from RunTrace: %d samples, want %d",
+				workers, len(got.Samples), len(want.Samples))
+		}
 	}
 }
