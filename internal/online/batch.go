@@ -12,10 +12,10 @@ import (
 // step, so the degraded regime batches exactly like the healthy one.
 //
 // Allocation: the dispatch loop and the analyzer half of step (the
-// last-access index probe, bucket update, compaction, and the
-// eviction sweep of the index) allocate nothing in the steady state,
-// and neither does the sampler's datum lookup, a probe of the same
-// kind of index — TestAccessBatchHotPathZeroAllocs and
+// last-access index probe, bucket update, compaction, eviction, and
+// the purge of evicted index entries) allocate nothing in the steady
+// state, and neither does the sampler's datum lookup, a probe of the
+// same kind of index — TestAccessBatchHotPathZeroAllocs and
 // reuse.TestApproxAccessEvictZeroAllocs pin that. Sample decisions
 // allocate nothing either once warm: the detector's one
 // core.SubTraceFilter reuses its buffers (TestSubTraceFilterZeroAllocs).

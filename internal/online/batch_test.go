@@ -287,3 +287,55 @@ func BenchmarkAccessPerEvent(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)*chunkLen/b.Elapsed().Seconds(), "events/s")
 }
+
+// trainEvents records a kernel's Train run as the detector's event
+// stream: the input stream-columnar serves its sessions.
+func trainEvents(tb testing.TB, name string) []trace.Event {
+	tb.Helper()
+	spec, err := workload.ByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := trace.NewRecorder(1<<21, 1<<16)
+	spec.Make(spec.Train).Run(rec)
+	return recordedEvents(&rec.T)
+}
+
+// BenchmarkDetectorTrain streams whole tomcatv, swim and applu Train
+// traces through fresh default detectors as decoded 4096-event v2
+// chunks, the shape stream-columnar sends, and reports ns per event.
+// Unlike BenchmarkAccessColumns it covers a full session at Train
+// scale, so the datum table fills and slots are claimed from stale
+// datums, and the analyzer evicts.
+func BenchmarkDetectorTrain(b *testing.B) {
+	for _, name := range []string{"tomcatv", "swim", "applu"} {
+		b.Run(name, func(b *testing.B) {
+			events := trainEvents(b, name)
+			const chunkLen = 4096
+			var chunks []*trace.Columns
+			for off := 0; off < len(events); off += chunkLen {
+				data, err := trace.AppendChunkV2(nil, events[off:min(off+chunkLen, len(events))])
+				if err != nil {
+					b.Fatal(err)
+				}
+				c := new(trace.Columns)
+				if err := trace.DecodeChunkV2(data, c, 0); err != nil {
+					b.Fatal(err)
+				}
+				chunks = append(chunks, c)
+			}
+			cfg := DefaultConfig()
+			cfg.OnEvent = func(phase.Event) {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := NewDetector(cfg)
+				for _, c := range chunks {
+					d.AccessColumns(c)
+				}
+				d.Flush()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+		})
+	}
+}

@@ -54,6 +54,10 @@ type datum struct {
 	// undecided is the window index of the oldest sample whose
 	// keep/drop decision has not been made yet.
 	undecided int
+	// older and newer are the neighbouring slots in the detector's
+	// recency list (-1 at either end). A datum joins the list with its
+	// first sample.
+	older, newer int
 }
 
 // Detector consumes an instrumentation event stream and emits
@@ -79,7 +83,13 @@ type Detector struct {
 	lastCheckSamples int64
 	adjustments      int
 
-	evictRetry int64 // next time a full-table eviction scan may run
+	// oldest and newest are the ends of the recency list, threaded
+	// through the tracked datums in order of last sample time (-1 when
+	// empty). Sample times strictly increase, so moving a sampled
+	// datum to the newest end keeps the order.
+	oldest, newest int
+
+	evictRetry int64 // next time claimSlot may look for a stale datum
 	deferFlush bool  // suppress window flushes during Flush's decision loop
 
 	// Load shedding.
@@ -126,6 +136,8 @@ func NewDetector(cfg Config) *Detector {
 		cfg:      cfg,
 		analyzer: reuse.NewApproxAnalyzer(cfg.Epsilon),
 		sel:      newSelector(cfg),
+		oldest:   -1,
+		newest:   -1,
 		stride:   1,
 		hier:     newHierarchy(cfg),
 		filter:   core.NewSubTraceFilter(cfg.Wavelet, cfg.KeepIrregular),
@@ -203,6 +215,12 @@ func (d *Detector) SetPressure(p float64) {
 func (d *Detector) recordSample(id int, t, dist int64) {
 	d.samples++
 	dt := d.data[id]
+	if d.newest != id {
+		if len(dt.times) > 0 {
+			d.unlink(id)
+		}
+		d.pushNewest(id)
+	}
 	if len(dt.times) == d.cfg.SubTraceWindow {
 		// Window full: the oldest sample falls off. If it was never
 		// decided (tiny windows only), decide it first.
@@ -236,7 +254,8 @@ func (d *Detector) recordSample(id int, t, dist int64) {
 // age-based sweep alone resonates badly with phase lengths near
 // StaleAfter: slot availability drifts relative to phase starts until
 // some phase finds the table full of just-young-enough datums and goes
-// entirely unsampled.
+// entirely unsampled. When no datum is old enough, claims wait
+// CheckEvery accesses before looking again.
 func (d *Detector) claimSlot() (int, bool) {
 	if len(d.data) < d.cfg.MaxDataSamples {
 		d.data = append(d.data, nil)
@@ -251,7 +270,7 @@ func (d *Detector) claimSlot() (int, bool) {
 		if id, ok := d.evictStalest(d.cfg.StaleAfter / 2); ok {
 			return id, true
 		}
-		// Nothing old enough: stop scanning until the table ages.
+		// Nothing old enough: stop looking until the table ages.
 		d.evictRetry = d.now + d.cfg.CheckEvery
 	}
 	return 0, false
@@ -259,26 +278,49 @@ func (d *Detector) claimSlot() (int, bool) {
 
 // evictStalest releases the slot of the stalest eligible datum (oldest
 // last sample among those the stale test allows), finalizing its
-// undecided samples first, as in the periodic reclamation.
+// undecided samples first, as in the periodic reclamation. It walks
+// the recency list from the oldest end and stops at the first datum
+// the stale test accepts, or at the first one idle for less than
+// minAge.
 func (d *Detector) evictStalest(minAge int64) (int, bool) {
-	best, bestLast := -1, int64(0)
-	for id, dt := range d.data {
-		if dt == nil || !d.stale(dt, minAge) {
-			continue
+	for id := d.oldest; id >= 0; id = d.data[id].newer {
+		dt := d.data[id]
+		if d.now-dt.times[len(dt.times)-1] < minAge {
+			break // every newer datum is younger still
 		}
-		last := int64(0)
-		if n := len(dt.times); n > 0 {
-			last = dt.times[n-1]
-		}
-		if best < 0 || last < bestLast {
-			best, bestLast = id, last
+		if d.stale(dt, minAge) {
+			d.dropDatum(id)
+			return id, true
 		}
 	}
-	if best < 0 {
-		return 0, false
+	return 0, false
+}
+
+// pushNewest links slot id, not in the recency list, at its newest end.
+func (d *Detector) pushNewest(id int) {
+	dt := d.data[id]
+	dt.older, dt.newer = d.newest, -1
+	if d.newest >= 0 {
+		d.data[d.newest].newer = id
+	} else {
+		d.oldest = id
 	}
-	d.dropDatum(best)
-	return best, true
+	d.newest = id
+}
+
+// unlink removes slot id from the recency list.
+func (d *Detector) unlink(id int) {
+	dt := d.data[id]
+	if dt.older >= 0 {
+		d.data[dt.older].newer = dt.newer
+	} else {
+		d.oldest = dt.newer
+	}
+	if dt.newer >= 0 {
+		d.data[dt.newer].older = dt.older
+	} else {
+		d.newest = dt.older
+	}
 }
 
 // decide runs the shared sub-trace filter over the datum's current
@@ -488,6 +530,7 @@ func (d *Detector) dropDatum(id int) {
 		}
 	}
 	d.sel.Remove(dt.addr)
+	d.unlink(id)
 	d.data[id] = nil
 }
 

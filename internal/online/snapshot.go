@@ -1,10 +1,12 @@
 package online
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"lpp/internal/codec"
 	"lpp/internal/core"
@@ -222,6 +224,29 @@ func (d *Detector) Snapshot() []byte {
 	return codec.Seal(e.Buf)
 }
 
+// relink rebuilds the recency list, which snapshots leave out, from
+// the tracked datums' last sample times (ties, which a live detector
+// never produces, by slot).
+func (d *Detector) relink() {
+	ids := make([]int, 0, len(d.data))
+	for id, dt := range d.data {
+		if dt != nil {
+			ids = append(ids, id)
+		}
+	}
+	last := func(id int) int64 {
+		times := d.data[id].times
+		return times[len(times)-1]
+	}
+	slices.SortFunc(ids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(last(a), last(b)), cmp.Compare(a, b))
+	})
+	d.oldest, d.newest = -1, -1
+	for _, id := range ids {
+		d.pushNewest(id)
+	}
+}
+
 // NewDetectorFromSnapshot returns a detector restored from a snapshot
 // taken under the same configuration.
 func NewDetectorFromSnapshot(cfg Config, data []byte) (*Detector, error) {
@@ -344,6 +369,18 @@ func (d *Detector) Restore(data []byte) error {
 		if dec.Err() != nil {
 			break
 		}
+		// A live datum holds at least the sample that admitted it, and
+		// all its samples precede the clock. The recency list rebuilt
+		// below relies on both: it orders datums by last sample, and
+		// every later sample must be newer than all of them.
+		if cnt == 0 {
+			dec.Fail("datum %d has an empty window", len(nd.data))
+			break
+		}
+		if last := dt.times[cnt-1]; last >= nd.now {
+			dec.Fail("datum sample time %d not before clock %d", last, nd.now)
+			break
+		}
 		if dt.undecided < 0 || dt.undecided > len(dt.times) {
 			dec.Fail("undecided %d out of window %d", dt.undecided, len(dt.times))
 			break
@@ -368,6 +405,9 @@ func (d *Detector) Restore(data []byte) error {
 		}
 		seenFree[id] = true
 		nd.free = append(nd.free, id)
+	}
+	if dec.Err() == nil {
+		nd.relink()
 	}
 
 	// Partition window.

@@ -181,6 +181,21 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 			t.Fatalf("thresholds %v: err = %v, want ErrSnapshotCorrupt", th, err)
 		}
 	}
+	// Datums no live detector holds, under a valid CRC: an empty
+	// window, and sample times at or after the clock. Either would put
+	// the datum out of place in the recency list.
+	for _, c := range []struct {
+		name string
+		snap []byte
+	}{
+		{"empty window", emptyDatumSnapshot(t, d)},
+		{"sample at clock", lateDatumSnapshot(t, d, 0)},
+		{"sample after clock", lateDatumSnapshot(t, d, 1000)},
+	} {
+		if err := fresh().Restore(c.snap); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt", c.name, err)
+		}
+	}
 
 	// A failed restore must leave the target detector intact.
 	target := NewDetector(Config{})
@@ -217,6 +232,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(skew)
 	f.Add(miscountedSnapshot(f, d))
 	f.Add(thresholdSnapshot(f, d, [3]int64{0, 512, 1024}))
+	f.Add(emptyDatumSnapshot(f, d))
+	f.Add(lateDatumSnapshot(f, d, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nd := NewDetector(Config{})
@@ -290,6 +307,39 @@ func thresholdSnapshot(tb testing.TB, d *Detector, th [3]int64) []byte {
 	}
 	out := append(slices.Clone(body[:header]), scalars(th[0], th[1], th[2])...)
 	return codec.Seal(append(out, body[header+len(old):]...))
+}
+
+// datumSnapshot returns the snapshot of a copy of d whose first
+// tracked datum mutate has changed. Snapshot writes whatever state it
+// finds, so the image is sealed like any other.
+func datumSnapshot(tb testing.TB, d *Detector, mutate func(c *Detector, dt *datum)) []byte {
+	tb.Helper()
+	c, err := NewDetectorFromSnapshot(d.cfg, d.Snapshot())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	i := slices.IndexFunc(c.data, func(dt *datum) bool { return dt != nil })
+	if i < 0 {
+		tb.Fatal("no tracked datum")
+	}
+	mutate(c, c.data[i])
+	return c.Snapshot()
+}
+
+// emptyDatumSnapshot returns d's snapshot with one datum's window
+// emptied.
+func emptyDatumSnapshot(tb testing.TB, d *Detector) []byte {
+	return datumSnapshot(tb, d, func(_ *Detector, dt *datum) {
+		dt.times, dt.dists, dt.undecided = nil, nil, 0
+	})
+}
+
+// lateDatumSnapshot returns d's snapshot with one datum's last sample
+// moved to the clock plus ahead.
+func lateDatumSnapshot(tb testing.TB, d *Detector, ahead int64) []byte {
+	return datumSnapshot(tb, d, func(c *Detector, dt *datum) {
+		dt.times[len(dt.times)-1] = c.now + ahead
+	})
 }
 
 // TestIntSetRejectsUnwrittenBytes pins that a page-signature set

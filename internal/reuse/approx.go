@@ -27,11 +27,18 @@ import (
 // of those buckets and a Fenwick-tree prefix sum over them. On top of
 // that comes the O(B) compaction, which runs only when the bucket
 // count passes four times its target and leaves far fewer, so it is
-// amortized over the accesses in between. EvictOldest forgets
-// addresses with one in-place sweep of the index.
+// amortized over the accesses in between. EvictOldest only raises an
+// eviction floor: an index entry whose time is at or below it is dead,
+// reads as cold, and is overwritten in place when its address returns.
+// Dead entries are purged in one sweep of the index only when an
+// insert would otherwise grow it, so the index is never larger than
+// one that dropped them at once.
 type ApproxAnalyzer struct {
 	eps  float64
 	last *trace.AddrIndex // element -> last access time
+	// floor is the newest last-access time EvictOldest has forgotten:
+	// entries of last at or below it are dead (-1: none).
+	floor int64
 
 	// buckets are in ascending time order: bucket i covers times
 	// (buckets[i-1].maxTime, buckets[i].maxTime].
@@ -77,7 +84,7 @@ func NewApproxAnalyzer(eps float64) *ApproxAnalyzer {
 	if eps <= 0 || eps >= 1 {
 		eps = 0.05
 	}
-	a := &ApproxAnalyzer{eps: eps, last: trace.NewAddrIndex(0)}
+	a := &ApproxAnalyzer{eps: eps, last: trace.NewAddrIndex(0), floor: -1}
 	a.tgt = a.targetBuckets()
 	a.rebuild()
 	return a
@@ -88,10 +95,15 @@ func NewApproxAnalyzer(eps float64) *ApproxAnalyzer {
 func (a *ApproxAnalyzer) Access(addr trace.Addr) int64 {
 	t := a.now
 	a.now++
+	if a.last.Full() && a.last.Len() > int(a.live) {
+		// An insert would grow the index while it holds dead entries:
+		// drop them instead.
+		a.last.DeleteUpTo(a.floor)
+	}
 	prev, seen := a.last.Swap(addr, t)
 
 	dist := Infinite
-	if seen {
+	if seen && prev > a.floor {
 		var idx int
 		if prev >= a.t0 {
 			// A tail bucket holds just this element, so the newer
@@ -143,23 +155,26 @@ func (a *ApproxAnalyzer) Prefetch(addr trace.Addr) { a.last.Prefetch(addr) }
 // read, and a branch. maxLive <= 0 disables eviction.
 func (a *ApproxAnalyzer) AccessEvict(addr trace.Addr, maxLive int) int64 {
 	d := a.Access(addr)
-	if maxLive > 0 && a.last.Len() > maxLive {
+	if maxLive > 0 && a.live > int64(maxLive) {
 		a.EvictOldest(maxLive / 2)
 	}
 	return d
 }
 
-// Distinct returns the number of distinct elements seen so far.
-func (a *ApproxAnalyzer) Distinct() int { return a.last.Len() }
+// Distinct returns the number of distinct elements tracked: those seen
+// and not evicted since.
+func (a *ApproxAnalyzer) Distinct() int { return int(a.live) }
 
 // EvictOldest caps the analyzer's memory at maxLive tracked elements by
 // forgetting the least-recently-accessed ones: whole oldest buckets are
-// dropped until at most maxLive live elements remain, and the addresses
-// whose last access fell in a dropped bucket are removed in one
-// allocation-free sweep of the last-access index. A later
-// access to an evicted address reads as a cold miss (Infinite), the
-// same graceful degradation a smaller profiling window would give. It
-// returns the number of elements evicted.
+// dropped until at most maxLive live elements remain, and the newest
+// time they covered becomes the eviction floor. The addresses whose
+// last access is at or below the floor stay in the last-access index
+// as dead entries until Access reuses or purges them, so an eviction
+// costs O(B), not a sweep of the index. A later access to an evicted
+// address reads as a cold miss (Infinite), the same graceful
+// degradation a smaller profiling window would give. It returns the
+// number of elements evicted.
 func (a *ApproxAnalyzer) EvictOldest(maxLive int) int {
 	if maxLive < 0 {
 		maxLive = 0
@@ -180,7 +195,7 @@ func (a *ApproxAnalyzer) EvictOldest(maxLive int) int {
 	a.rebuild()
 	// Every address's single live slot is its last-access time, so the
 	// evicted addresses are exactly those at or before the cutoff.
-	a.last.DeleteUpTo(cutoff)
+	a.floor = cutoff
 	return int(dropped)
 }
 

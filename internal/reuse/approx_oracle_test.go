@@ -48,15 +48,24 @@ func oracleStreams(t testing.TB, n int) map[string][]trace.Addr {
 	return streams
 }
 
-// roundTrips counts the State() → NewApproxFromState round trips
-// checkAgainstReference made, by the point it made them at.
-type roundTrips struct {
+// coverage counts what checkAgainstReference saw the analyzer do: its
+// evictions, the dead last-access entries (at or below the eviction
+// floor) that an access reused in place, and the purges of dead
+// entries before an insert that would have grown the index; then the
+// State() → NewApproxFromState round trips it made, by the point it
+// made them at.
+type coverage struct {
+	evictions, deadReuses, purges    int
 	midTail, afterCompact, tailEvict int
 }
 
 // maxRoundTrips caps the round trips of each kind per stream, since
 // each one costs O(live).
 const maxRoundTrips = 4
+
+// maxEventStates caps, per stream, the State() comparisons made after
+// a dead-entry reuse or a purge, since each one costs O(live).
+const maxEventStates = 64
 
 // evictsIntoTail reports whether EvictOldest(keep) would drop a
 // bucket appended since the last rebuild, by the same walk it makes.
@@ -71,9 +80,13 @@ func evictsIntoTail(a *ApproxAnalyzer, keep int) bool {
 
 // checkAgainstReference replays addrs through the analyzer and the
 // frozen reference with the same eviction cap, failing on the first
-// access whose distance or bucket count differs. State() is compared
-// every stateEvery accesses and at the end. It returns the number of
-// evictions seen, so callers can tell the eviction path ran.
+// access whose distance, bucket count or Distinct() differs. The
+// reference forgets evicted addresses at once; the analyzer keeps them
+// as dead entries until they are reused or purged, so State() is
+// compared after every eviction, after the first maxEventStates dead
+// reuses and purges, every stateEvery accesses and at the end. An
+// access that finds the index full must leave no dead entry in it. It
+// returns what it saw, so callers can tell each path ran.
 //
 // The analyzer is also replaced by one restored from its State(), as
 // a checkpoint recovery would, at the three points where its derived
@@ -82,10 +95,9 @@ func evictsIntoTail(a *ApproxAnalyzer, keep int) bool {
 // an eviction that reached into the tail. AccessEvict is applied as
 // its two halves, Access and the eviction rule, so the test can see
 // the tail in between; the reference runs AccessEvict itself.
-func checkAgainstReference(t testing.TB, addrs []trace.Addr, eps float64, maxLive, stateEvery int) (int, roundTrips) {
+func checkAgainstReference(t testing.TB, addrs []trace.Addr, eps float64, maxLive, stateEvery int) coverage {
 	a, ref := NewApproxAnalyzer(eps), newRefApprox(eps)
-	evictions := 0
-	var trips roundTrips
+	var cov coverage
 	roundTrip := func(i int, n *int) {
 		if *n >= maxRoundTrips {
 			return
@@ -99,7 +111,16 @@ func checkAgainstReference(t testing.TB, addrs []trace.Addr, eps float64, maxLiv
 	}
 	for i, addr := range addrs {
 		before, buckets := ref.Distinct(), a.Buckets()
+		entries, full := a.last.Len(), a.last.Full()
+		prev, seen := a.last.Get(addr)
+		dead := seen && prev <= a.floor
 		got := a.Access(addr)
+		purged := a.last.Len() < entries
+		// The index may grow only while it holds no dead entries, so it
+		// never outgrows one that deleted them at eviction.
+		if full && a.last.Len() != a.Distinct() {
+			t.Fatalf("access %d: index was full yet kept %d dead entries", i, a.last.Len()-a.Distinct())
+		}
 		compacted := a.Buckets() <= buckets
 		intoTail := false
 		if maxLive > 0 && a.Distinct() > maxLive {
@@ -113,30 +134,41 @@ func checkAgainstReference(t testing.TB, addrs []trace.Addr, eps float64, maxLiv
 		if a.Buckets() != ref.Buckets() {
 			t.Fatalf("access %d: %d buckets, reference %d", i, a.Buckets(), ref.Buckets())
 		}
+		if a.Distinct() != ref.Distinct() {
+			t.Fatalf("access %d: %d distinct, reference %d", i, a.Distinct(), ref.Distinct())
+		}
+		checkState := (i+1)%stateEvery == 0 || i == len(addrs)-1
 		if ref.Distinct() < before {
-			evictions++
+			cov.evictions++
+			checkState = true
+		}
+		if dead {
+			cov.deadReuses++
+			checkState = checkState || cov.deadReuses <= maxEventStates
+		}
+		if purged {
+			cov.purges++
+			checkState = checkState || cov.purges <= maxEventStates
+		}
+		if checkState && !reflect.DeepEqual(a.State(), ref.State()) {
+			t.Fatalf("access %d: State() differs from reference", i)
 		}
 		switch {
 		case intoTail:
-			roundTrip(i, &trips.tailEvict)
+			roundTrip(i, &cov.tailEvict)
 		case compacted:
-			roundTrip(i, &trips.afterCompact)
+			roundTrip(i, &cov.afterCompact)
 		case (i+1)%stateEvery == stateEvery/2 && len(a.buckets) > a.n0:
-			roundTrip(i, &trips.midTail)
-		}
-		if (i+1)%stateEvery == 0 || i == len(addrs)-1 {
-			if !reflect.DeepEqual(a.State(), ref.State()) {
-				t.Fatalf("access %d: State() differs from reference", i)
-			}
+			roundTrip(i, &cov.midTail)
 		}
 	}
-	return evictions, trips
+	return cov
 }
 
 // TestApproxMatchesReference pins the analyzer bit-identical to the
 // linear-sum reference on random, cyclic and hostile streams, across
-// eviction caps and precisions, through restores at each point
-// checkAgainstReference makes them.
+// eviction caps and precisions, through dead-entry reuses and purges
+// and through restores at each point checkAgainstReference makes them.
 func TestApproxMatchesReference(t *testing.T) {
 	n := 120_000
 	if raceEnabled {
@@ -144,7 +176,7 @@ func TestApproxMatchesReference(t *testing.T) {
 	}
 	streams := oracleStreams(t, n)
 	var mu sync.Mutex
-	var total roundTrips
+	var total coverage
 	// The subtests run in parallel after this body returns; the
 	// cleanup runs once all of them are done.
 	t.Cleanup(func() {
@@ -152,8 +184,11 @@ func TestApproxMatchesReference(t *testing.T) {
 			t.Errorf("round trips mid-tail %d, after compaction %d, after tail eviction %d: every kind must occur",
 				total.midTail, total.afterCompact, total.tailEvict)
 		}
-		t.Logf("round trips: mid-tail %d, after compaction %d, after tail eviction %d",
-			total.midTail, total.afterCompact, total.tailEvict)
+		if total.deadReuses == 0 || total.purges == 0 {
+			t.Errorf("dead-entry reuses %d, purges %d: both must occur", total.deadReuses, total.purges)
+		}
+		t.Logf("evictions %d, dead-entry reuses %d, purges %d; round trips: mid-tail %d, after compaction %d, after tail eviction %d",
+			total.evictions, total.deadReuses, total.purges, total.midTail, total.afterCompact, total.tailEvict)
 	})
 	for _, name := range []string{"random", "cyclic", "interleaved", "drift"} {
 		for _, maxLive := range []int{0, 1 << 10, 1 << 16} {
@@ -161,14 +196,17 @@ func TestApproxMatchesReference(t *testing.T) {
 				addrs := streams[name]
 				t.Run(fmt.Sprintf("%s/maxlive=%d/eps=%g", name, maxLive, eps), func(t *testing.T) {
 					t.Parallel()
-					ev, trips := checkAgainstReference(t, addrs, eps, maxLive, 1<<13)
-					if name == "random" && maxLive > 0 && n >= 100_000 && ev == 0 {
+					cov := checkAgainstReference(t, addrs, eps, maxLive, 1<<13)
+					if name == "random" && maxLive > 0 && n >= 100_000 && cov.evictions == 0 {
 						t.Fatalf("no eviction at cap %d; the stream no longer covers the eviction path", maxLive)
 					}
 					mu.Lock()
-					total.midTail += trips.midTail
-					total.afterCompact += trips.afterCompact
-					total.tailEvict += trips.tailEvict
+					total.evictions += cov.evictions
+					total.deadReuses += cov.deadReuses
+					total.purges += cov.purges
+					total.midTail += cov.midTail
+					total.afterCompact += cov.afterCompact
+					total.tailEvict += cov.tailEvict
 					mu.Unlock()
 				})
 			}
@@ -180,13 +218,17 @@ func TestApproxMatchesReference(t *testing.T) {
 // with fuzzer-chosen streams, precision and eviction cap. Each input
 // byte is either a reuse of one of 192 hot addresses or a fresh
 // address; the byte pattern repeats so short inputs still reach the
-// compaction and eviction paths.
+// compaction and eviction paths. The last two seeds cross the eviction
+// cap many times: the first adds purges of dead entries, and the last,
+// whose hot set is just past a small cap, reuses dead entries too.
 func FuzzApproxMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0xff, 3, 0xfe, 1, 0}, uint8(5), uint16(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0, 1, 0xff}, uint8(10), uint16(64))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(1), uint16(300))
 	f.Add([]byte{0xff, 0xff, 0xff, 7}, uint8(10), uint16(1024))
 	f.Add([]byte{0xc0, 0xc1, 9, 0xc2, 0xc3, 10, 0xc4}, uint8(5), uint16(1500))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(5), uint16(40))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0xf0, 0xf1}, uint8(10), uint16(24))
 	f.Fuzz(func(t *testing.T, pattern []byte, epsPct uint8, maxLive uint16) {
 		if len(pattern) == 0 {
 			return

@@ -26,11 +26,13 @@ type ApproxState struct {
 	BucketCounts []int64
 }
 
-// State snapshots the analyzer. The (address, time) pairs are
-// collected in one sweep of the index and ordered by address with
-// sortByAddr, so the result does not depend on the index's slot order.
+// State snapshots the analyzer. The live (address, time) pairs are
+// collected in one sweep of the index, skipping entries at or below
+// the eviction floor, and ordered by address with sortByAddr, so the
+// result depends neither on the index's slot order nor on which dead
+// entries it still holds.
 func (a *ApproxAnalyzer) State() ApproxState {
-	n := a.last.Len()
+	n := int(a.live)
 	st := ApproxState{
 		Eps:          a.eps,
 		Now:          a.now,
@@ -41,8 +43,10 @@ func (a *ApproxAnalyzer) State() ApproxState {
 		BucketCounts: make([]int64, 0, len(a.buckets)),
 	}
 	a.last.Range(func(addr trace.Addr, t *int64) {
-		st.Addrs = append(st.Addrs, addr)
-		st.Times = append(st.Times, *t)
+		if *t > a.floor {
+			st.Addrs = append(st.Addrs, addr)
+			st.Times = append(st.Times, *t)
+		}
 	})
 	st.Addrs, st.Times = sortByAddr(st.Addrs, st.Times)
 	for _, b := range a.buckets {
@@ -140,10 +144,11 @@ func NewApproxFromState(st ApproxState) (*ApproxAnalyzer, error) {
 		return nil, fmt.Errorf("%w: %d addrs but live %d", errApproxState, len(st.Addrs), st.Live)
 	}
 	a := &ApproxAnalyzer{
-		eps:  st.Eps,
-		now:  st.Now,
-		live: st.Live,
-		last: trace.NewAddrIndex(len(st.Addrs)),
+		eps:   st.Eps,
+		now:   st.Now,
+		live:  st.Live,
+		last:  trace.NewAddrIndex(len(st.Addrs)),
+		floor: -1,
 	}
 	for i, addr := range st.Addrs {
 		if i > 0 && addr <= st.Addrs[i-1] {

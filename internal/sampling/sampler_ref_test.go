@@ -29,7 +29,8 @@ type refSampler struct {
 	lastCheck   int64
 }
 
-// refRunTraceDists is the frozen RunTraceDists.
+// refRunTraceDists is the frozen sampler fed precomputed distances, as
+// runTraceDists feeds the current one.
 func refRunTraceDists(accesses []trace.Addr, dists []int64, cfg Config) Result {
 	if cfg.ExpectedLength == 0 {
 		cfg.ExpectedLength = int64(len(accesses))
@@ -195,7 +196,7 @@ func adversarialStream(pattern []byte, spatial int64, total int) ([]trace.Addr, 
 // FuzzSamplerMatchesReference drives the sampler and the frozen
 // reference with fuzzer-shaped (addr, dist) streams under fuzzer-chosen
 // budgets, check intervals, thresholds and length estimates, through
-// both entry points: RunTraceDists with the stream's distances and
+// two entry points: runTraceDists with the stream's distances and
 // RunTrace, whose analyzer measures the addresses' own.
 func FuzzSamplerMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 60, 61, 62, 120, 200}, uint16(100), uint16(500), uint8(6), uint8(0))
@@ -225,8 +226,8 @@ func FuzzSamplerMatchesReference(f *testing.F) {
 			cfg.ExpectedLength = total * 8
 		}
 		addrs, dists := adversarialStream(pattern, cfg.Spatial, total)
-		if got, want := RunTraceDists(addrs, dists, cfg), refRunTraceDists(addrs, dists, cfg); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RunTraceDists: %d samples, %d data, %d adjustments; reference %d, %d, %d",
+		if got, want := runTraceDists(addrs, dists, cfg), refRunTraceDists(addrs, dists, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("runTraceDists: %d samples, %d data, %d adjustments; reference %d, %d, %d",
 				len(got.Samples), len(got.DataAddrs), got.Adjustments,
 				len(want.Samples), len(want.DataAddrs), want.Adjustments)
 		}

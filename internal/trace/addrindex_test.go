@@ -106,9 +106,96 @@ func runOps(t *testing.T, ops []byte) {
 	}
 }
 
+// floorCounts tallies what runFloorOps saw.
+type floorCounts struct {
+	evictions, deadReuses, purges int
+}
+
+// runFloorOps replays ops the way the approximate reuse analyzer uses
+// an index: values are access times, one per access; an eviction only
+// raises a floor, so the entries at or below it are dead but stay in
+// the table; a Swap that finds a dead entry reads it as absent and
+// overwrites it in place; and the dead entries are purged only when an
+// insert would otherwise grow the table. Each op is three bytes
+// (operation, address, amount): operation 3 evicts the oldest
+// amount/256 of the times since the floor, any other accesses the
+// address. After every op the index must hold exactly the live and
+// dead entries it should, its live entries must equal a map that
+// forgets evicted addresses at once, and its table must be no larger
+// than that of an index that deletes them at once.
+func runFloorOps(t *testing.T, ops []byte) floorCounts {
+	x, eager := NewAddrIndex(0), NewAddrIndex(0)
+	all := make(map[Addr]int64)  // every entry x should hold, dead included
+	live := make(map[Addr]int64) // the entries above the floor
+	floor, now := int64(-1), int64(0)
+	var counts floorCounts
+	for len(ops) >= 3 {
+		op, addr, b := ops[0]%4, structuredAddr(ops[1]), ops[2]
+		ops = ops[3:]
+		if op == 3 {
+			cutoff := floor + (now-floor)*int64(b)/256
+			for a, v := range live {
+				if v <= cutoff {
+					delete(live, a)
+				}
+			}
+			eager.DeleteUpTo(cutoff)
+			if cutoff > floor {
+				floor = cutoff
+				counts.evictions++
+			}
+		} else {
+			if x.Full() && x.Len() > len(live) {
+				want := 0
+				for a, v := range all {
+					if v <= floor {
+						delete(all, a)
+						want++
+					}
+				}
+				if got := x.DeleteUpTo(floor); got != want {
+					t.Fatalf("purge at floor %d removed %d, want %d", floor, got, want)
+				}
+				counts.purges++
+			}
+			prev, seen := x.Swap(addr, now)
+			want, ok := live[addr]
+			if got := seen && prev > floor; got != ok || (ok && prev != want) {
+				t.Fatalf("Swap(%#x) found %d, live %v; want %d, %v", uint64(addr), prev, got, want, ok)
+			}
+			if seen && !ok {
+				counts.deadReuses++
+			}
+			all[addr], live[addr] = now, now
+			eager.Swap(addr, now)
+			now++
+		}
+		checkIndex(t, x, all)
+		n := 0
+		for a, v := range all {
+			if v > floor {
+				n++
+				if live[a] != v {
+					t.Fatalf("%#x = %d is above floor %d; live map has %d", uint64(a), v, floor, live[a])
+				}
+			}
+		}
+		if n != len(live) {
+			t.Fatalf("%d entries above floor %d, want %d", n, floor, len(live))
+		}
+		if len(x.slots) > len(eager.slots) {
+			t.Fatalf("table has %d slots; one that deletes at eviction has %d", len(x.slots), len(eager.slots))
+		}
+	}
+	return counts
+}
+
 // TestAddrIndexMatchesMap runs random operation sequences, weighted
-// toward inserts so the table grows mid-sequence, against the map.
+// toward inserts so the table grows mid-sequence, against the map:
+// first as plain operations, then through runFloorOps, whose streams
+// must cross many evictions, reuse dead entries and purge them.
 func TestAddrIndexMatchesMap(t *testing.T) {
+	var total floorCounts
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0))
 		ops := make([]byte, 3*600)
@@ -127,21 +214,51 @@ func TestAddrIndexMatchesMap(t *testing.T) {
 			ops[i+2] = byte(rng.Uint32())
 		}
 		runOps(t, ops)
+		c := runFloorOps(t, ops)
+		total.evictions += c.evictions
+		total.deadReuses += c.deadReuses
+		total.purges += c.purges
+	}
+	if total.evictions < 100 || total.deadReuses == 0 || total.purges == 0 {
+		t.Errorf("floor ops: %d evictions, %d dead reuses, %d purges; want many evictions and some of each", total.evictions, total.deadReuses, total.purges)
 	}
 }
 
 // FuzzAddrIndexMatchesMap checks arbitrary operation sequences against
-// the map reference.
+// the map reference, as plain operations and through runFloorOps. The
+// last seed evicts, touches the evicted addresses again and inserts
+// until a purge.
 func FuzzAddrIndexMatchesMap(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 0, 65, 6, 1, 1, 0, 2, 1, 0, 3, 64, 0})
 	f.Add([]byte{0, 0, 1, 0, 64, 2, 0, 128, 3, 0, 192, 4, 3, 255, 255})
 	f.Add([]byte{0, 10, 9, 0, 11, 8, 0, 12, 7, 3, 0, 0, 3, 0, 72})
+	f.Add(floorSeed())
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 3*2000 {
 			ops = ops[:3*2000]
 		}
 		runOps(t, ops)
+		runFloorOps(t, ops)
 	})
+}
+
+// floorSeed returns ops that access ten addresses, evict all of them,
+// access them again (dead reuses), then access fresh addresses until
+// the table would grow with dead entries in it.
+func floorSeed() []byte {
+	var ops []byte
+	for k := byte(0); k < 10; k++ {
+		ops = append(ops, 0, k, 0)
+	}
+	ops = append(ops, 3, 0, 255)
+	for k := byte(0); k < 10; k++ {
+		ops = append(ops, 0, k, 0)
+	}
+	ops = append(ops, 3, 0, 128)
+	for k := byte(10); k < 40; k++ {
+		ops = append(ops, 0, k, 0)
+	}
+	return ops
 }
 
 // addrsWithHome returns n distinct addresses whose home slot in x is
