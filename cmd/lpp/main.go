@@ -8,7 +8,6 @@
 //	lpp [-bench tomcatv] [-policy strict|relaxed] [-quick] [-v]
 //	    [-consumers predictor,cacheresize,dvfs,remap]
 //	lpp -warmstart [-bench fft] [-warmstart-train fft] [-knowledge FILE]
-//	lpp -family interleaved|drift|adaptive|all
 //	lpp -list
 package main
 
@@ -43,8 +42,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		cons     = flag.String("consumers", "", "drive run-time consumers from the prediction run's phase events (comma-separated: predictor[:strict|:relaxed], cacheresize, dvfs, remap)")
 
-		family = flag.String("family", "", "run the differential torture harness on a hostile family (interleaved, drift, adaptive, or all)")
-
 		warmFlag  = flag.Bool("warmstart", false, "warm-start mode: train a knowledge store on one trace, replay a second, report warm-vs-cold first-prediction latency and accuracy")
 		warmTrain = flag.String("warmstart-train", "", "workload to train the store on in -warmstart mode (default: same as -bench)")
 		knowPath  = flag.String("knowledge", "", "knowledge store file for -warmstart mode (empty = in-memory)")
@@ -60,15 +57,6 @@ func main() {
 	if *list {
 		for _, s := range workload.All() {
 			fmt.Printf("%-10s %s (%s)\n", s.Name, s.Description, s.Source)
-		}
-		fmt.Println("\nhostile families (-family):")
-		listFamilies()
-		return
-	}
-
-	if *family != "" {
-		if err := runFamily(*family); err != nil {
-			fatal(err)
 		}
 		return
 	}

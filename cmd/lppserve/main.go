@@ -162,8 +162,8 @@ func run(args []string, ready chan<- string, quit <-chan struct{}) error {
 	var kstore *knowledge.Store
 	if *knowledgePath != "" {
 		ks, err := knowledge.Open(*knowledgePath, nil, knowledge.Config{
-			Cap:   *knowledgeCap,
-			Match: knowledge.MatchConfig{Threshold: *knowledgeThreshold},
+			Cap:       *knowledgeCap,
+			Threshold: *knowledgeThreshold,
 		})
 		if err != nil {
 			return err

@@ -206,7 +206,7 @@ func normalizeConfig(t *trace.Recorded, cfg Config) (Config, sampling.Config, er
 // consistency — over a completed sampling result.
 func finishDetection(t *trace.Recorded, cfg Config, res sampling.Result) (*Detection, error) {
 	// Step 2: wavelet filtering of each data sample's sub-trace.
-	filtered := filterSamplesWorkers(res, cfg.Wavelet, cfg.MinSubTrace, cfg.KeepIrregular, cfg.workers())
+	filtered := filterSamples(res, cfg.Wavelet, cfg.MinSubTrace, cfg.KeepIrregular, cfg.workers())
 
 	// Step 3: optimal phase partitioning of the filtered trace.
 	ids := make([]int, len(filtered))

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"lpp/internal/sampling"
 	"lpp/internal/wavelet"
@@ -204,33 +203,12 @@ func coefVar(xs []float64) float64 {
 // res.Samples. Data samples with fewer than minSubTrace access samples
 // are dropped as noise.
 func FilterSamples(res sampling.Result, fam wavelet.Family, minSubTrace int) []int {
-	return filterSamples(res, fam, minSubTrace, false)
+	return filterSamples(res, fam, minSubTrace, false, 1)
 }
 
 // FilterSamplesIrregular is FilterSamples with the Gcc extension of
 // Section 3.1.2 enabled: untrended irregular sub-traces are kept whole
 // so input-dependent phase boundaries can still be marked.
 func FilterSamplesIrregular(res sampling.Result, fam wavelet.Family, minSubTrace int) []int {
-	return filterSamples(res, fam, minSubTrace, true)
-}
-
-func filterSamples(res sampling.Result, fam wavelet.Family, minSubTrace int, keepIrregular bool) []int {
-	var filtered []int
-	f := NewSubTraceFilter(fam, keepIrregular)
-	for _, sub := range res.SubTraces() {
-		if len(sub) < minSubTrace {
-			continue
-		}
-		signal := make([]float64, len(sub))
-		for i, si := range sub {
-			signal[i] = float64(res.Samples[si].Dist)
-		}
-		for i, k := range f.Filter(signal) {
-			if k {
-				filtered = append(filtered, sub[i])
-			}
-		}
-	}
-	sort.Ints(filtered)
-	return filtered
+	return filterSamples(res, fam, minSubTrace, true, 1)
 }

@@ -95,25 +95,10 @@ func PredictAllWith(prog trace.Runner, det *Detection, sink phase.Consumer, poli
 		}
 	}
 
-	type openPhase struct {
-		phase      marker.PhaseID
-		startInstr int64
-		startAcc   int64
-		snap       cache.Snapshot
-	}
-	var cur openPhase
-	open := false
 	var execs []predictor.Execution
-
+	t := execTracker{sim: sim}
 	onMarker := func(ph marker.PhaseID, acc, instr int64) {
-		if open {
-			loc, _ := sim.Since(cur.snap)
-			e := predictor.Execution{
-				Phase:        cur.phase,
-				Instructions: instr - cur.startInstr,
-				Accesses:     acc - cur.startAcc,
-				Locality:     loc,
-			}
+		if e, ok := t.end(acc, instr, false); ok {
 			for _, p := range preds {
 				p.Complete(e)
 			}
@@ -122,7 +107,7 @@ func PredictAllWith(prog trace.Runner, det *Detection, sink phase.Consumer, poli
 				Kind:         phase.BoundaryDetected,
 				Time:         acc,
 				Instructions: instr,
-				Phase:        int(cur.phase),
+				Phase:        int(e.Phase),
 				Locality:     e.Locality,
 			})
 		} else {
@@ -152,19 +137,10 @@ func PredictAllWith(prog trace.Runner, det *Detection, sink phase.Consumer, poli
 				p.Begin(ph)
 			}
 		}
-		cur = openPhase{phase: ph, startInstr: instr, startAcc: acc, snap: sim.Snapshot()}
-		open = true
+		t.begin(ph, acc, instr)
 	}
 	accesses, instrs := runMarked(prog, det.Selection.Markers, sim, onMarker)
-	if open {
-		loc, _ := sim.Since(cur.snap)
-		e := predictor.Execution{
-			Phase:        cur.phase,
-			Instructions: instrs - cur.startInstr,
-			Accesses:     accesses - cur.startAcc,
-			Locality:     loc,
-			Partial:      true, // ends at program exit, not a marker
-		}
+	if e, ok := t.end(accesses, instrs, true); ok {
 		for _, p := range preds {
 			p.Complete(e)
 		}
@@ -197,6 +173,39 @@ func PredictAllWith(prog trace.Runner, det *Detection, sink phase.Consumer, poli
 		}
 	}
 	return out
+}
+
+// execTracker follows the phase execution the latest marker opened,
+// measuring its locality with the run's cache simulator.
+type execTracker struct {
+	sim        *cache.MultiAssoc
+	open       bool
+	phase      marker.PhaseID
+	startInstr int64
+	startAcc   int64
+	snap       cache.Snapshot
+}
+
+// begin opens an execution of ph at the given run position.
+func (t *execTracker) begin(ph marker.PhaseID, acc, instr int64) {
+	*t = execTracker{sim: t.sim, open: true, phase: ph, startInstr: instr, startAcc: acc, snap: t.sim.Snapshot()}
+}
+
+// end closes the open execution at the given run position and returns
+// it; partial marks the final execution, which program exit ends
+// instead of a marker. ok is false before the first marker.
+func (t *execTracker) end(acc, instr int64, partial bool) (e predictor.Execution, ok bool) {
+	if !t.open {
+		return e, false
+	}
+	loc, _ := t.sim.Since(t.snap)
+	return predictor.Execution{
+		Phase:        t.phase,
+		Instructions: instr - t.startInstr,
+		Accesses:     acc - t.startAcc,
+		Locality:     loc,
+		Partial:      partial,
+	}, true
 }
 
 // emitProfiles ends the event stream with one PhaseProfile per phase,

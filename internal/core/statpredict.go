@@ -35,42 +35,19 @@ func PredictStatistical(prog trace.Runner, det *Detection) *StatReport {
 	sim := cache.NewDefault()
 	pred := predictor.NewStatistical()
 
-	type openPhase struct {
-		phase      marker.PhaseID
-		startInstr int64
-		startAcc   int64
-		snap       cache.Snapshot
-	}
-	var cur openPhase
-	open := false
 	var execs []predictor.Execution
-
+	t := execTracker{sim: sim}
 	onMarker := func(ph marker.PhaseID, acc, instr int64) {
-		if open {
-			loc, _ := sim.Since(cur.snap)
-			e := predictor.Execution{
-				Phase:        cur.phase,
-				Instructions: instr - cur.startInstr,
-				Accesses:     acc - cur.startAcc,
-				Locality:     loc,
-			}
+		if e, ok := t.end(acc, instr, false); ok {
 			pred.Complete(e)
 			execs = append(execs, e)
 		}
 		pred.Begin(ph)
-		cur = openPhase{phase: ph, startInstr: instr, startAcc: acc, snap: sim.Snapshot()}
-		open = true
+		t.begin(ph, acc, instr)
 	}
 	accesses, instrs := runMarked(prog, det.Selection.Markers, sim, onMarker)
-	if open {
-		loc, _ := sim.Since(cur.snap)
-		pred.Complete(predictor.Execution{
-			Phase:        cur.phase,
-			Instructions: instrs - cur.startInstr,
-			Accesses:     accesses - cur.startAcc,
-			Locality:     loc,
-			Partial:      true,
-		})
+	if e, ok := t.end(accesses, instrs, true); ok {
+		pred.Complete(e)
 	}
 
 	return &StatReport{

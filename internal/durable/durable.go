@@ -40,6 +40,10 @@ const (
 	walName   = "wal.log"
 	ckptName  = "snapshot.bin"
 	maxRecord = 1 << 30
+	// maxKeptBuf bounds the encode buffer a Log keeps between
+	// Appends, so one huge chunk does not pin its size for the
+	// session's life.
+	maxKeptBuf = 1 << 20
 )
 
 // ErrCorrupt marks state that failed validation: a bad CRC, a broken
@@ -115,6 +119,7 @@ type Log struct {
 	fs   faultfs.FS
 	sync bool
 	w    faultfs.File // open WAL append handle, nil until first Append
+	buf  []byte       // record encode buffer, reused across Appends
 }
 
 // Entry is one WAL record: an accepted chunk keyed by its session
@@ -221,6 +226,10 @@ func parseWAL(data []byte, st *State) (valid int, err error) {
 	}
 	off := len(walMagic)
 	last := st.Seq
+	var (
+		src bytes.Reader
+		r   trace.Reader
+	)
 	for off < len(data) {
 		recLen, n := binary.Uvarint(data[off:])
 		if n <= 0 || recLen > maxRecord {
@@ -242,7 +251,7 @@ func parseWAL(data []byte, st *State) (valid int, err error) {
 			}
 			return off, fmt.Errorf("%w: wal record at %d: checksum", ErrCorrupt, off)
 		}
-		e, perr := parseRecord(payload)
+		e, perr := parseRecord(payload, &src, &r)
 		if perr != nil {
 			return off, fmt.Errorf("%w: wal record at %d: %v", ErrCorrupt, off, perr)
 		}
@@ -258,7 +267,9 @@ func parseWAL(data []byte, st *State) (valid int, err error) {
 	return off, nil
 }
 
-func parseRecord(payload []byte) (Entry, error) {
+// parseRecord decodes one record's payload, reading its events through
+// r over src so that one decode buffer serves a whole WAL.
+func parseRecord(payload []byte, src *bytes.Reader, r *trace.Reader) (Entry, error) {
 	var e Entry
 	seq, n := binary.Uvarint(payload)
 	if n <= 0 || len(payload) < n+1 {
@@ -270,7 +281,8 @@ func parseRecord(payload []byte) (Entry, error) {
 	if flags := payload[n]; flags != 0 {
 		return e, fmt.Errorf("unknown flags %#x", flags)
 	}
-	r := trace.NewReader(bytes.NewReader(payload[n+1:]))
+	src.Reset(payload[n+1:])
+	r.Reset(src)
 	for {
 		ev, err := r.Next()
 		if err == io.EOF {
@@ -290,14 +302,22 @@ func (l *Log) Append(e Entry) error {
 			return err
 		}
 	}
-	payload := binary.AppendUvarint(nil, e.Seq)
-	payload = append(payload, 0) // flags byte, reserved
-	payload = appendEvents(payload, e.Events)
-
-	rec := binary.AppendUvarint(nil, uint64(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(rec); err != nil {
+	// The payload is encoded after room for the longest length prefix,
+	// and the prefix then fills the end of that room.
+	const room = binary.MaxVarintLen64
+	b := append(l.buf[:0], make([]byte, room)...)
+	b = binary.AppendUvarint(b, e.Seq)
+	b = append(b, 0) // flags byte, reserved
+	b = trace.AppendFile(b, e.Events)
+	payload := b[room:]
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	var prefix [room]byte
+	start := room - binary.PutUvarint(prefix[:], uint64(len(payload)))
+	copy(b[start:], prefix[:room-start])
+	if cap(b) <= maxKeptBuf {
+		l.buf = b
+	}
+	if _, err := l.w.Write(b[start:]); err != nil {
 		l.closeWAL()
 		return fmt.Errorf("durable: wal append: %w", err)
 	}
@@ -308,18 +328,6 @@ func (l *Log) Append(e Entry) error {
 		}
 	}
 	return nil
-}
-
-// appendEvents encodes events in the trace file format.
-func appendEvents(dst []byte, events []trace.Event) []byte {
-	var sink byteSink
-	sink.buf = dst
-	w := trace.NewWriter(&sink)
-	for _, ev := range events {
-		ev.Feed(w)
-	}
-	w.Flush()
-	return sink.buf
 }
 
 // EncodeCheckpoint renders a checkpoint image — the LPPCKPT1-framed,
@@ -413,13 +421,4 @@ func (l *Log) closeWAL() {
 		l.w.Close()
 		l.w = nil
 	}
-}
-
-// byteSink is an io.Writer over a growable byte slice (bytes.Buffer
-// without the copy on Bytes()).
-type byteSink struct{ buf []byte }
-
-func (s *byteSink) Write(p []byte) (int, error) {
-	s.buf = append(s.buf, p...)
-	return len(p), nil
 }

@@ -34,7 +34,6 @@ const captureBoundaries = 16
 type Consumer struct {
 	store  *Store                   // nil: track only (training runs)
 	target *phase.PredictorConsumer // nil: never warm-start
-	match  MatchConfig
 
 	b          *sequitur.Builder
 	terms      int64
@@ -58,14 +57,9 @@ type Consumer struct {
 // fingerprint without matching (training); target may be nil to match
 // without warm-starting (inspection).
 func NewConsumer(store *Store, target *phase.PredictorConsumer) *Consumer {
-	match := MatchConfig{}.withDefaults()
-	if store != nil {
-		match = store.Match()
-	}
 	return &Consumer{
 		store:  store,
 		target: target,
-		match:  match,
 		b:      sequitur.NewBuilder(),
 	}
 }
@@ -109,10 +103,10 @@ func (c *Consumer) tryWarmStart() {
 	if c.done || c.store == nil || c.target == nil {
 		return
 	}
-	if c.boundaries < c.match.MinBoundaries {
+	if c.boundaries < minBoundaries {
 		return
 	}
-	if c.boundaries > c.match.MaxBoundaries {
+	if c.boundaries > maxBoundaries {
 		c.done = true
 		c.store.MarkMiss()
 		return
@@ -173,7 +167,7 @@ func (c *Consumer) WarmStarted() (fingerprint uint64, score float64, ok bool) {
 // when there is nothing worth contributing (no target, or fewer
 // boundaries than the matching window needs to recognize a program).
 func (c *Consumer) Entry() (Knowledge, bool) {
-	if c.target == nil || c.boundaries < c.match.MinBoundaries {
+	if c.target == nil || c.boundaries < minBoundaries {
 		return Knowledge{}, false
 	}
 	g := c.Compact()

@@ -71,47 +71,24 @@ type Knowledge struct {
 	Clock int64
 }
 
-// MatchConfig tunes when an early session grammar is considered a
-// confident match for a stored program.
-type MatchConfig struct {
-	// Threshold is the minimum containment score (how much of the
-	// session's grammar mass the stored grammar covers) for a match.
-	Threshold float64
-	// Margin is how far the best candidate must lead the runner-up;
-	// ambiguous matches wait for more boundaries instead of guessing.
-	Margin float64
-	// MinBoundaries is the earliest boundary at which to attempt a
-	// match; 1 matches on the very first interval.
-	MinBoundaries int64
-	// MaxBoundaries gives up matching after this many boundaries: a
+// Matching policy. A session matches only inside a window of
+// boundaries, and only when its best candidate leads the runner-up.
+const (
+	// DefaultThreshold is the minimum match score when
+	// Config.Threshold is zero.
+	DefaultThreshold = 0.70
+	// matchMargin is how far the best candidate must lead the
+	// runner-up; ambiguous matches wait for more boundaries instead of
+	// guessing.
+	matchMargin = 0.05
+	// minBoundaries is the earliest boundary at which to attempt a
+	// match; 1 would match on the very first interval.
+	minBoundaries = 2
+	// maxBoundaries gives up matching after this many boundaries: a
 	// session that far in predicts cold soon anyway, and late warm
 	// starts would overwrite real learned history.
-	MaxBoundaries int64
-}
-
-// Defaults applied by withDefaults for zero MatchConfig fields.
-const (
-	DefaultThreshold     = 0.70
-	DefaultMargin        = 0.05
-	DefaultMinBoundaries = 2
-	DefaultMaxBoundaries = 128
+	maxBoundaries = 128
 )
-
-func (m MatchConfig) withDefaults() MatchConfig {
-	if m.Threshold == 0 {
-		m.Threshold = DefaultThreshold
-	}
-	if m.Margin == 0 {
-		m.Margin = DefaultMargin
-	}
-	if m.MinBoundaries == 0 {
-		m.MinBoundaries = DefaultMinBoundaries
-	}
-	if m.MaxBoundaries == 0 {
-		m.MaxBoundaries = DefaultMaxBoundaries
-	}
-	return m
-}
 
 // Config bounds and tunes a Store.
 type Config struct {
@@ -119,8 +96,10 @@ type Config struct {
 	// evicts the lowest-scored entry (least recently touched, with
 	// warm-start hits extending life). 0 means 1024.
 	Cap int
-	// Match is the matching policy handed to sessions.
-	Match MatchConfig
+	// Threshold is the minimum containment score (how much of a
+	// session's grammar mass the stored grammar covers) for a match.
+	// 0 means DefaultThreshold.
+	Threshold float64
 }
 
 // DefaultCap bounds the store when Config.Cap is zero.
@@ -130,7 +109,9 @@ func (c Config) withDefaults() Config {
 	if c.Cap == 0 {
 		c.Cap = DefaultCap
 	}
-	c.Match = c.Match.withDefaults()
+	if c.Threshold == 0 {
+		c.Threshold = DefaultThreshold
+	}
 	return c
 }
 
@@ -175,9 +156,6 @@ func NewStore(cfg Config) *Store {
 		entries: make(map[uint64]*Knowledge),
 	}
 }
-
-// Match tunes sessions fed from this store.
-func (s *Store) Match() MatchConfig { return s.cfg.Match }
 
 // Len returns the number of entries.
 func (s *Store) Len() int {
@@ -271,7 +249,7 @@ func (s *Store) Lookup(q Query) (MatchResult, bool) {
 			second = score
 		}
 	}
-	if bestEntry == nil || best < s.cfg.Match.Threshold || best-second < s.cfg.Match.Margin {
+	if bestEntry == nil || best < s.cfg.Threshold || best-second < matchMargin {
 		return MatchResult{}, false
 	}
 	s.clock++

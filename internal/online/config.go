@@ -9,30 +9,66 @@
 //     cap instead of the exact analyzer;
 //   - variable-distance sampling applies the offline selection rule
 //     (sampling.Selector, seeded with the offline thresholds) but paces
-//     its thresholds against a target sample *rate* instead of an
-//     expected trace length;
-//   - the wavelet filter runs over a sliding window of each data
-//     sample's recent sub-trace, deciding each sample once a fixed
-//     number of newer samples exist (the same rule set as offline via
-//     core.FilterSubTrace);
-//   - optimal phase partitioning runs over a sliding window of
-//     filtered samples, emitting only boundaries outside an unstable
-//     margin near the window's leading edge;
-//   - the phase hierarchy is fed incrementally into a SEQUITUR
-//     grammar; at each boundary its next-phase automaton comes from a
-//     bounded per-session memo (regexphase.Memo) that compiles only
-//     hierarchy structure it has not seen, and the recent phase tail
-//     walks it to predict the next phase.
+//     its thresholds against a target sample rate (TargetRate) instead
+//     of an expected trace length;
+//   - the wavelet filter (Wavelet) runs over a sliding window of each
+//     data sample's recent sub-trace (SubTraceWindow), deciding each
+//     sample once FilterLag newer samples exist (the same rule set as
+//     offline via core.FilterSubTrace);
+//   - optimal phase partitioning (Alpha, MaxSpan) runs over a sliding
+//     window of filtered samples (BoundaryWindow), emitting only
+//     boundaries outside an unstable margin (BoundaryMargin) near the
+//     window's leading edge;
+//   - the phase hierarchy identifies recurring segments by data
+//     signature (Similarity) and feeds them incrementally into a
+//     SEQUITUR grammar; at each boundary its next-phase automaton comes
+//     from a bounded per-session memo (regexphase.Memo) that compiles
+//     only hierarchy structure it has not seen, and the recent phase
+//     tail walks it to predict the next phase.
 //
-// Every structure has a configurable cap, and under load the detector
-// degrades by sampling (raising its analysis stride) instead of
-// growing without bound.
+// Every structure is capped, and under load the detector degrades by
+// sampling (raising its analysis stride) instead of growing without
+// bound. The detection parameters named above are package constants,
+// fixed as the paper fixes its own; the caps, the feedback interval
+// and the hardening controls are Config fields.
 package online
 
 import (
 	"lpp/internal/phase"
 	"lpp/internal/phasedet"
 	"lpp/internal/wavelet"
+)
+
+// Detection parameters. Each one shapes detection, so each keeps its
+// slot in the config fingerprint (Config.fingerprint).
+const (
+	// SubTraceWindow is the per-data-sample sliding window of recent
+	// access samples the wavelet filter sees.
+	SubTraceWindow = 48
+	// FilterLag is how many newer samples of the same datum must
+	// arrive before a sample's keep/drop decision is made.
+	FilterLag = 8
+	// MinSubTrace mirrors the offline noise rule: a datum's samples
+	// are not decided until its window holds at least this many.
+	MinSubTrace = 4
+	// BoundaryWindow is the number of filtered samples accumulated
+	// before a partitioning flush.
+	BoundaryWindow = 256
+	// BoundaryMargin is the number of trailing window samples whose
+	// cuts are withheld as unstable.
+	BoundaryMargin = BoundaryWindow / 4
+	// Alpha and MaxSpan parameterize phasedet.Partition as offline.
+	Alpha   = phasedet.DefaultAlpha
+	MaxSpan = 4000
+	// Wavelet is the sub-trace filter family, the paper's
+	// Daubechies-6.
+	Wavelet = wavelet.Daubechies6
+	// TargetRate is the access-sample collection rate the feedback
+	// loop aims for, in samples per access.
+	TargetRate = 0.05
+	// Similarity is the minimum Jaccard similarity between segment
+	// datum sets for two segments to share a phase ID.
+	Similarity = 0.5
 )
 
 // Config bounds and tunes the streaming detector. The zero value takes
@@ -46,21 +82,6 @@ type Config struct {
 	MaxLive int
 	// MaxDataSamples caps the number of data samples followed.
 	MaxDataSamples int
-	// SubTraceWindow is the per-data-sample sliding window of recent
-	// access samples the wavelet filter sees.
-	SubTraceWindow int
-	// FilterLag is how many newer samples of the same datum must
-	// arrive before a sample's keep/drop decision is made.
-	FilterLag int
-	// MinSubTrace mirrors the offline noise rule: a datum's samples
-	// are not decided until its window holds at least this many.
-	MinSubTrace int
-	// BoundaryWindow is the number of filtered samples accumulated
-	// before a partitioning flush.
-	BoundaryWindow int
-	// BoundaryMargin is the number of trailing window samples whose
-	// cuts are withheld as unstable (0 takes BoundaryWindow/4).
-	BoundaryMargin int
 	// MinBoundaryGap suppresses a detected boundary closer than this
 	// many accesses to the previously accepted one. Jittery streams —
 	// two tenants time-sliced at a fine quantum, drifting periods —
@@ -69,34 +90,12 @@ type Config struct {
 	// (the default: the paper's workloads need no suppression, and the
 	// golden traces pin that).
 	MinBoundaryGap int64
-	// Alpha and MaxSpan parameterize phasedet.Partition as offline.
-	Alpha   float64
-	MaxSpan int
-	// Wavelet is the filter family (default Daubechies-6).
-	Wavelet wavelet.Family
 	// KeepIrregular enables the Gcc extension of the sub-trace filter.
 	KeepIrregular bool
 
-	// TargetRate is the access-sample collection rate the feedback
-	// loop aims for, in samples per access (default 0.05).
-	TargetRate float64
 	// CheckEvery is the feedback interval in accesses (default 10000).
+	// It also sets the decide horizon and the staleness age below.
 	CheckEvery int64
-	// DecideHorizon forces a sample's keep/drop decision once it is
-	// this many accesses old, even if fewer than FilterLag newer
-	// samples of its datum exist — otherwise a rarely-accessed datum
-	// would hold its samples (and any boundary they mark) back
-	// indefinitely. 0 takes 2x CheckEvery.
-	DecideHorizon int64
-	// StaleAfter is the age (in accesses since its last sample) past
-	// which a data sample's slot is reclaimed for new data when the
-	// MaxDataSamples cap is full — so a long-running stream whose
-	// working set drifts keeps being covered. It must comfortably
-	// exceed the longest recurrence interval worth tracking: a datum
-	// sampled once per program phase (the Swim shape) is the most
-	// informative kind, and reclaiming it between samples discards
-	// its history. 0 takes 6x CheckEvery.
-	StaleAfter int64
 
 	// MaxGrammar caps the SEQUITUR grammar size; past it the grammar
 	// restarts from the recent phase tail.
@@ -107,9 +106,6 @@ type Config struct {
 	// MaxPhases caps distinct phase identities; past it new segments
 	// are folded into their nearest known phase.
 	MaxPhases int
-	// Similarity is the minimum Jaccard similarity between segment
-	// datum sets for two segments to share a phase ID (default 0.5).
-	Similarity float64
 	// MaxSignature caps the 64KB pages held in any phase signature
 	// (known or open segment). An adversarial stream that touches new
 	// pages forever would otherwise grow the open segment's set — the
@@ -132,25 +128,31 @@ type Config struct {
 	OnEvent func(phase.Event)
 }
 
+// decideHorizon is the age in accesses at which a sample's keep/drop
+// decision is forced, even if fewer than FilterLag newer samples of
+// its datum exist — otherwise a rarely-accessed datum would hold its
+// samples (and any boundary they mark) back indefinitely.
+func (c Config) decideHorizon() int64 { return 2 * c.CheckEvery }
+
+// staleAfter is the age (in accesses since its last sample) past
+// which a data sample's slot is reclaimed for new data when the
+// MaxDataSamples cap is full — so a long-running stream whose working
+// set drifts keeps being covered. It must comfortably exceed the
+// longest recurrence interval worth tracking: a datum sampled once per
+// program phase (the Swim shape) is the most informative kind, and
+// reclaiming it between samples discards its history.
+func (c Config) staleAfter() int64 { return 6 * c.CheckEvery }
+
 // DefaultConfig returns the streaming defaults.
 func DefaultConfig() Config {
 	return Config{
 		Epsilon:        0.05,
 		MaxLive:        1 << 16,
 		MaxDataSamples: 512,
-		SubTraceWindow: 48,
-		FilterLag:      8,
-		MinSubTrace:    4,
-		BoundaryWindow: 256,
-		Alpha:          phasedet.DefaultAlpha,
-		MaxSpan:        4000,
-		Wavelet:        wavelet.Daubechies6,
-		TargetRate:     0.05,
 		CheckEvery:     10000,
 		MaxGrammar:     4096,
 		PhaseTail:      512,
 		MaxPhases:      64,
-		Similarity:     0.5,
 		MaxSignature:   4096,
 		MaxPending:     1024,
 		MaxStride:      16,
@@ -169,49 +171,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxDataSamples <= 0 {
 		c.MaxDataSamples = def.MaxDataSamples
 	}
-	if c.SubTraceWindow <= 0 {
-		c.SubTraceWindow = def.SubTraceWindow
-	}
-	if c.FilterLag <= 0 {
-		c.FilterLag = def.FilterLag
-	}
-	if c.FilterLag >= c.SubTraceWindow {
-		c.FilterLag = c.SubTraceWindow - 1
-	}
-	if c.MinSubTrace <= 0 {
-		c.MinSubTrace = def.MinSubTrace
-	}
-	if c.BoundaryWindow <= 0 {
-		c.BoundaryWindow = def.BoundaryWindow
-	}
-	if c.BoundaryMargin <= 0 {
-		c.BoundaryMargin = c.BoundaryWindow / 4
-	}
-	if c.BoundaryMargin >= c.BoundaryWindow {
-		c.BoundaryMargin = c.BoundaryWindow - 1
-	}
-	if c.Alpha == 0 {
-		c.Alpha = def.Alpha
-	}
-	if c.MaxSpan <= 0 {
-		c.MaxSpan = def.MaxSpan
-	}
-	if c.Wavelet == 0 {
-		// The zero Family is Haar, but a zero Config means "defaults"
-		// here, so it takes the paper's Daubechies-6.
-		c.Wavelet = def.Wavelet
-	}
-	if c.TargetRate <= 0 {
-		c.TargetRate = def.TargetRate
-	}
 	if c.CheckEvery <= 0 {
 		c.CheckEvery = def.CheckEvery
-	}
-	if c.DecideHorizon <= 0 {
-		c.DecideHorizon = 2 * c.CheckEvery
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 6 * c.CheckEvery
 	}
 	if c.MaxGrammar <= 0 {
 		c.MaxGrammar = def.MaxGrammar
@@ -221,9 +182,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPhases <= 0 {
 		c.MaxPhases = def.MaxPhases
-	}
-	if c.Similarity <= 0 {
-		c.Similarity = def.Similarity
 	}
 	if c.MaxSignature <= 0 {
 		c.MaxSignature = def.MaxSignature

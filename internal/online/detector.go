@@ -140,7 +140,7 @@ func NewDetector(cfg Config) *Detector {
 		newest:   -1,
 		stride:   1,
 		hier:     newHierarchy(cfg),
-		filter:   core.NewSubTraceFilter(cfg.Wavelet, cfg.KeepIrregular),
+		filter:   core.NewSubTraceFilter(Wavelet, cfg.KeepIrregular),
 	}
 }
 
@@ -221,7 +221,7 @@ func (d *Detector) recordSample(id int, t, dist int64) {
 		}
 		d.pushNewest(id)
 	}
-	if len(dt.times) == d.cfg.SubTraceWindow {
+	if len(dt.times) == SubTraceWindow {
 		// Window full: the oldest sample falls off. If it was never
 		// decided (tiny windows only), decide it first.
 		if dt.undecided == 0 {
@@ -239,10 +239,10 @@ func (d *Detector) recordSample(id int, t, dist int64) {
 	if d.maskFor == dt {
 		d.maskFor = nil
 	}
-	if len(dt.times) < d.cfg.MinSubTrace {
+	if len(dt.times) < MinSubTrace {
 		return
 	}
-	for dt.undecided <= len(dt.times)-1-d.cfg.FilterLag {
+	for dt.undecided <= len(dt.times)-1-FilterLag {
 		d.decide(dt, dt.undecided)
 		dt.undecided++
 	}
@@ -252,7 +252,7 @@ func (d *Detector) recordSample(id int, t, dist int64) {
 // below the cap, a reclaimed stale one, or — when demand outruns the
 // periodic reclamation — the slot of the stalest tracked datum. The
 // age-based sweep alone resonates badly with phase lengths near
-// StaleAfter: slot availability drifts relative to phase starts until
+// staleAfter: slot availability drifts relative to phase starts until
 // some phase finds the table full of just-young-enough datums and goes
 // entirely unsampled. When no datum is old enough, claims wait
 // CheckEvery accesses before looking again.
@@ -267,7 +267,7 @@ func (d *Detector) claimSlot() (int, bool) {
 		return id, true
 	}
 	if d.now >= d.evictRetry {
-		if id, ok := d.evictStalest(d.cfg.StaleAfter / 2); ok {
+		if id, ok := d.evictStalest(d.cfg.staleAfter() / 2); ok {
 			return id, true
 		}
 		// Nothing old enough: stop looking until the table ages.
@@ -344,7 +344,7 @@ func (d *Detector) decide(dt *datum, i int) {
 		datum: int(dt.addr),
 		page:  int(dt.addr >> 16),
 	})
-	if len(d.window) >= d.cfg.BoundaryWindow && !d.deferFlush {
+	if len(d.window) >= BoundaryWindow && !d.deferFlush {
 		d.flushBoundaries(false)
 	}
 }
@@ -362,7 +362,7 @@ func (d *Detector) Flush() {
 	// bounded by MaxDataSamples x SubTraceWindow.
 	d.deferFlush = true
 	for _, dt := range d.data {
-		if dt == nil || len(dt.times) < d.cfg.MinSubTrace {
+		if dt == nil || len(dt.times) < MinSubTrace {
 			continue // offline noise rule: too sparse to trust
 		}
 		for dt.undecided < len(dt.times) {
@@ -437,7 +437,7 @@ func (d *Detector) feedback() {
 	d.reclaimStale()
 	got := float64(d.samples - d.lastCheckSamples)
 	d.lastCheckSamples = d.samples
-	expected := d.cfg.TargetRate * float64(interval)
+	expected := TargetRate * float64(interval)
 	// Adjustments are symmetric and capped at 4x per check: sampling
 	// bursts are common (a recurring phase re-qualifies all its data
 	// at once), and overshooting the clamp-down would blind the
@@ -466,9 +466,9 @@ func (d *Detector) feedback() {
 // stopped touching would otherwise hold its boundary-marking samples
 // back until the phase returns.
 func (d *Detector) forceDecisions() {
-	horizon := d.now - d.cfg.DecideHorizon
+	horizon := d.now - d.cfg.decideHorizon()
 	for _, dt := range d.data {
-		if dt == nil || len(dt.times) < d.cfg.MinSubTrace {
+		if dt == nil || len(dt.times) < MinSubTrace {
 			continue
 		}
 		for dt.undecided < len(dt.times) && dt.times[dt.undecided] < horizon {
@@ -479,14 +479,14 @@ func (d *Detector) forceDecisions() {
 }
 
 // reclaimStale frees the slots of data samples not sampled for
-// StaleAfter accesses once the cap is reached, so coverage follows a
+// staleAfter accesses once the cap is reached, so coverage follows a
 // drifting working set instead of freezing on the first data seen.
 func (d *Detector) reclaimStale() {
 	if len(d.data) < d.cfg.MaxDataSamples {
 		return
 	}
 	for id, dt := range d.data {
-		if dt == nil || !d.stale(dt, d.cfg.StaleAfter) {
+		if dt == nil || !d.stale(dt, d.cfg.staleAfter()) {
 			continue
 		}
 		d.dropDatum(id)
@@ -523,7 +523,7 @@ func (d *Detector) stale(dt *datum, minAge int64) bool {
 // or is handed straight to a new claimant).
 func (d *Detector) dropDatum(id int) {
 	dt := d.data[id]
-	if len(dt.times) >= d.cfg.MinSubTrace {
+	if len(dt.times) >= MinSubTrace {
 		for dt.undecided < len(dt.times) {
 			d.decide(dt, dt.undecided)
 			dt.undecided++

@@ -82,7 +82,7 @@ func checkEvictions(t testing.TB, cfg Config, events []trace.Event) evictionCoun
 			continue
 		}
 		// The access advances the clock before sampling can claim.
-		want, wantOK := refEvictStalest(d, d.now+1, d.cfg.StaleAfter/2)
+		want, wantOK := refEvictStalest(d, d.now+1, d.cfg.staleAfter()/2)
 		before = append(before[:0], d.data...)
 		retry := d.evictRetry
 		d.Access(ev.Addr)
@@ -143,7 +143,6 @@ func TestEvictStalestMatchesScan(t *testing.T) {
 				cfg.MaxDataSamples = slots
 				if s.check > 0 {
 					cfg.CheckEvery = s.check
-					cfg.StaleAfter, cfg.DecideHorizon = 0, 0 // re-derived from CheckEvery
 				}
 				counts := checkEvictions(t, cfg, s.events)
 				if counts.claims == 0 {
@@ -197,7 +196,6 @@ func FuzzEvictStalestMatchesScan(f *testing.F) {
 		cfg := DefaultConfig()
 		cfg.MaxDataSamples = 16 + int(slots)%49
 		cfg.CheckEvery = 50 + int64(check)%1000
-		cfg.StaleAfter, cfg.DecideHorizon = 0, 0 // re-derived from CheckEvery
 		checkEvictions(t, cfg, evictionStream(pattern, 20_000, 5*int(cfg.CheckEvery)))
 	})
 }

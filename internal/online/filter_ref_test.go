@@ -313,7 +313,7 @@ func TestSubTraceFilterMatchesFrozenReferenceOnTrainWindows(t *testing.T) {
 			cfg.KeepIrregular = irregular
 			cfg.OnEvent = func(phase.Event) {}
 			d := NewDetector(cfg)
-			f := core.NewSubTraceFilter(cfg.Wavelet, irregular)
+			f := core.NewSubTraceFilter(Wavelet, irregular)
 			windows := 0
 			for off, k := 0, 0; off < len(c.events); off, k = off+1024, k+1 {
 				d.AccessBatch(c.events[off:min(off+1024, len(c.events))])

@@ -67,8 +67,8 @@ func TestHardeningBoundsAdversarialStream(t *testing.T) {
 		if st.DataSamples > cfg.MaxDataSamples {
 			t.Fatalf("round %d: data samples %d > cap %d", r, st.DataSamples, cfg.MaxDataSamples)
 		}
-		if st.WindowLen > cfg.BoundaryWindow {
-			t.Fatalf("round %d: window %d > cap %d", r, st.WindowLen, cfg.BoundaryWindow)
+		if st.WindowLen > BoundaryWindow {
+			t.Fatalf("round %d: window %d > cap %d", r, st.WindowLen, BoundaryWindow)
 		}
 		d.DrainEvents()
 	}

@@ -29,9 +29,9 @@ func (d *Detector) flushBoundaries(final bool) {
 	for i, s := range d.window {
 		ids[i] = s.datum
 	}
-	cuts := phasedet.Partition(ids, phasedet.Config{Alpha: d.cfg.Alpha, MaxSpan: d.cfg.MaxSpan})
+	cuts := phasedet.Partition(ids, phasedet.Config{Alpha: Alpha, MaxSpan: MaxSpan})
 
-	stable := len(d.window) - d.cfg.BoundaryMargin
+	stable := len(d.window) - BoundaryMargin
 	if final {
 		stable = len(d.window)
 	}
@@ -79,7 +79,7 @@ func (d *Detector) flushBoundaries(final bool) {
 	keepFrom := retired
 	if final {
 		keepFrom = len(d.window)
-	} else if min := len(d.window) - d.cfg.BoundaryWindow/2; keepFrom < min {
+	} else if min := len(d.window) - BoundaryWindow/2; keepFrom < min {
 		keepFrom = min
 	}
 	for ; retired < keepFrom; retired++ {
@@ -211,7 +211,7 @@ func (h *hierarchy) identify() int {
 			best, bestSim = id, sim
 		}
 	}
-	if best >= 0 && bestSim >= h.cfg.Similarity {
+	if best >= 0 && bestSim >= Similarity {
 		return best
 	}
 	if len(h.known) < h.cfg.MaxPhases {

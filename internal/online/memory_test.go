@@ -42,8 +42,8 @@ func TestBoundedMemoryOverLongStream(t *testing.T) {
 		if st.DataSamples > cfg.MaxDataSamples {
 			t.Fatalf("round %d: data samples %d > cap %d", r, st.DataSamples, cfg.MaxDataSamples)
 		}
-		if st.WindowLen > cfg.BoundaryWindow {
-			t.Fatalf("round %d: boundary window %d > cap %d", r, st.WindowLen, cfg.BoundaryWindow)
+		if st.WindowLen > BoundaryWindow {
+			t.Fatalf("round %d: boundary window %d > cap %d", r, st.WindowLen, BoundaryWindow)
 		}
 		if st.GrammarSize > cfg.MaxGrammar {
 			t.Fatalf("round %d: grammar size %d > cap %d", r, st.GrammarSize, cfg.MaxGrammar)

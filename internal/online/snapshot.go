@@ -46,35 +46,35 @@ var (
 
 // fingerprint hashes the effective (defaulted) configuration fields
 // that shape detection behavior; OnEvent is delivery, not behavior.
+// The detection constants and the values derived from CheckEvery keep
+// the slots they had as Config fields, so fingerprints, and the image
+// headers that carry them, stay stable.
 func (c Config) fingerprint() uint64 {
 	var e codec.Enc
 	e.F64(c.Epsilon)
 	e.Num(c.MaxLive)
 	e.Num(c.MaxDataSamples)
-	e.Num(c.SubTraceWindow)
-	e.Num(c.FilterLag)
-	e.Num(c.MinSubTrace)
-	e.Num(c.BoundaryWindow)
-	e.Num(c.BoundaryMargin)
-	e.F64(c.Alpha)
-	e.Num(c.MaxSpan)
-	e.Num(int(c.Wavelet))
+	e.Num(SubTraceWindow)
+	e.Num(FilterLag)
+	e.Num(MinSubTrace)
+	e.Num(BoundaryWindow)
+	e.Num(BoundaryMargin)
+	e.F64(Alpha)
+	e.Num(MaxSpan)
+	e.Num(int(Wavelet))
 	e.Flag(c.KeepIrregular)
-	// The initial sampling thresholds are fixed, but they keep their
-	// slots so that fingerprints, and the image headers that carry
-	// them, stay stable.
 	seed := sampling.DefaultConfig()
 	e.I64(seed.Qualification)
 	e.I64(seed.Temporal)
 	e.I64(seed.Spatial)
-	e.F64(c.TargetRate)
+	e.F64(TargetRate)
 	e.I64(c.CheckEvery)
-	e.I64(c.DecideHorizon)
-	e.I64(c.StaleAfter)
+	e.I64(c.decideHorizon())
+	e.I64(c.staleAfter())
 	e.Num(c.MaxGrammar)
 	e.Num(c.PhaseTail)
 	e.Num(c.MaxPhases)
-	e.F64(c.Similarity)
+	e.F64(Similarity)
 	e.Num(c.MaxPending)
 	e.Num(c.MaxStride)
 	e.I64(c.MinBoundaryGap)
@@ -280,7 +280,7 @@ func (d *Detector) Restore(data []byte) error {
 	}
 
 	dec := codec.NewDec(body[header:], ErrSnapshotCorrupt)
-	nd := &Detector{cfg: d.cfg, filter: core.NewSubTraceFilter(d.cfg.Wavelet, d.cfg.KeepIrregular)}
+	nd := &Detector{cfg: d.cfg, filter: core.NewSubTraceFilter(Wavelet, d.cfg.KeepIrregular)}
 
 	nd.now = dec.I64()
 	nd.blocks = dec.I64()

@@ -118,8 +118,6 @@ func (s *Server) replicatorFor(id string) *replica.Replicator {
 	cfg := replica.Config{
 		Peer:       succ + "/v1/replica/" + url.PathEscape(s.cfg.Advertise),
 		QueueDepth: s.cfg.ReplicaQueue,
-		Timeout:    s.cfg.ReplicaTimeout,
-		Transport:  s.cfg.ReplicaTransport,
 		Source:     func() []replica.Checkpoint { return s.replicaCheckpoints(succ) },
 	}
 	if store := s.cfg.Knowledge; store != nil {

@@ -130,12 +130,6 @@ type Config struct {
 	// ReplicaQueue bounds the replication queue (default 64); overflow
 	// drops the oldest item and schedules a resync.
 	ReplicaQueue int
-	// ReplicaTimeout is the per-replication-request deadline
-	// (default 5s).
-	ReplicaTimeout time.Duration
-	// ReplicaTransport overrides the replication HTTP transport
-	// (fault-injection tests).
-	ReplicaTransport http.RoundTripper
 }
 
 func (c Config) withDefaults() Config {

@@ -87,8 +87,8 @@ func TestDifferentialParity(t *testing.T) {
 			if rep.MaxSignature > def.MaxSignature {
 				t.Errorf("signature %d pages exceeded cap %d", rep.MaxSignature, def.MaxSignature)
 			}
-			if rep.MaxWindow > def.BoundaryWindow {
-				t.Errorf("boundary window %d exceeded cap %d", rep.MaxWindow, def.BoundaryWindow)
+			if rep.MaxWindow > online.BoundaryWindow {
+				t.Errorf("boundary window %d exceeded cap %d", rep.MaxWindow, online.BoundaryWindow)
 			}
 			if rep.MaxPhases > def.MaxPhases {
 				t.Errorf("phase count %d exceeded cap %d", rep.MaxPhases, def.MaxPhases)

@@ -46,11 +46,7 @@ func (t *Writer) Block(id BlockID, instrs int) {
 		return
 	}
 	var buf [1 + 2*binary.MaxVarintLen64]byte
-	buf[0] = tagBlock
-	n := 1
-	n += binary.PutUvarint(buf[n:], uint64(id))
-	n += binary.PutUvarint(buf[n:], uint64(instrs))
-	_, t.err = t.w.Write(buf[:n])
+	_, t.err = t.w.Write(appendBlock(buf[:0], id, instrs))
 	t.events++
 }
 
@@ -60,12 +56,37 @@ func (t *Writer) Access(addr Addr) {
 		return
 	}
 	var buf [1 + binary.MaxVarintLen64]byte
-	buf[0] = tagAccess
-	delta := int64(addr) - int64(t.prevAddr)
-	n := 1 + binary.PutVarint(buf[1:], delta)
+	_, t.err = t.w.Write(appendAccess(buf[:0], addr, t.prevAddr))
 	t.prevAddr = addr
-	_, t.err = t.w.Write(buf[:n])
 	t.events++
+}
+
+// AppendFile appends events to dst as a complete trace file, header
+// included: the bytes a Writer fed the same events produces.
+func AppendFile(dst []byte, events []Event) []byte {
+	dst = append(dst, fileMagic...)
+	var prev Addr
+	for _, ev := range events {
+		if ev.Kind == EventBlock {
+			dst = appendBlock(dst, ev.Block, ev.Instrs)
+		} else {
+			dst = appendAccess(dst, ev.Addr, prev)
+			prev = ev.Addr
+		}
+	}
+	return dst
+}
+
+func appendBlock(dst []byte, id BlockID, instrs int) []byte {
+	dst = append(dst, tagBlock)
+	dst = binary.AppendUvarint(dst, uint64(id))
+	return binary.AppendUvarint(dst, uint64(instrs))
+}
+
+// appendAccess encodes addr as a zigzag delta from prev.
+func appendAccess(dst []byte, addr, prev Addr) []byte {
+	dst = append(dst, tagAccess)
+	return binary.AppendVarint(dst, int64(addr)-int64(prev))
 }
 
 // Flush completes the file and reports any deferred write error.
