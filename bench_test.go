@@ -158,9 +158,7 @@ func BenchmarkAblationPolicy(b *testing.B) {
 }
 
 // Extension experiments (beyond the paper's evaluation).
-func BenchmarkXEnergySavings(b *testing.B)       { benchExperiment(b, "xenergy") }
 func BenchmarkXDVFSScaling(b *testing.B)         { benchExperiment(b, "xdvfs") }
-func BenchmarkXSimPointEstimation(b *testing.B)  { benchExperiment(b, "xsimpoint") }
 func BenchmarkXPredictorComparison(b *testing.B) { benchExperiment(b, "xpredictors") }
 
 // Ablation: exact versus approximate reuse-distance analysis.
@@ -200,12 +198,6 @@ func BenchmarkAblationClustering(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			bbv.Cluster(ivs, bbv.DefaultThreshold)
-		}
-	})
-	b.Run("kmeans", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bbv.KMeans(ivs, 8, 42)
 		}
 	})
 }

@@ -91,18 +91,3 @@ func TestPropertyIdenticalWindowsNoMissIncrease(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPropertyEnergyNeverNegative(t *testing.T) {
-	f := func(seed uint64, rawN uint8) bool {
-		n := int(rawN)%40 + 1
-		wins, labels := randomWindows(seed, n)
-		assigned := make([]int, n)
-		for i := range assigned {
-			assigned[i] = labels[i]%cache.MaxAssoc + 1
-		}
-		return DefaultEnergyModel.Energy(wins, assigned) >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}

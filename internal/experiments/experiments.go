@@ -200,9 +200,7 @@ func All() []Experiment {
 // machinery, exercised on the same workloads.
 func Extensions() []Experiment {
 	return []Experiment{
-		{"xenergy", "Extension: cache energy savings from phase-based resizing", XEnergy},
 		{"xdvfs", "Extension: phase-based frequency scaling", XDVFS},
-		{"xsimpoint", "Extension: SimPoint estimation from BBV clusters", XSimPoint},
 		{"xpredictors", "Extension: next-interval predictor comparison", XPredictors},
 		{"xidealism", "Extension: idealized vs real interval detection", XIdealism},
 	}

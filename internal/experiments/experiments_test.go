@@ -52,13 +52,13 @@ func TestByNameAndRegistry(t *testing.T) {
 	if len(All()) != 12 {
 		t.Errorf("experiments = %d, want 12 (6 tables + 6 figures)", len(All()))
 	}
-	if len(Extensions()) != 5 {
-		t.Errorf("extensions = %d, want 5", len(Extensions()))
+	if len(Extensions()) != 3 {
+		t.Errorf("extensions = %d, want 3", len(Extensions()))
 	}
 	if _, err := ByName("table2"); err != nil {
 		t.Error(err)
 	}
-	if _, err := ByName("xenergy"); err != nil {
+	if _, err := ByName("xdvfs"); err != nil {
 		t.Error(err)
 	}
 	if _, err := ByName("nope"); err == nil {

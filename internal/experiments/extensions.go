@@ -11,35 +11,11 @@ import (
 )
 
 // The experiments below go beyond the paper's evaluation section: they
-// exercise the adaptations the paper motivates (energy, frequency
-// scaling) and the baselines' own machinery (SimPoint, interval
-// predictors) on this repository's workloads. They are clearly labeled
+// exercise an adaptation the paper motivates (frequency scaling) and
+// the baselines' own machinery (interval predictors, perfect detection)
+// on this repository's workloads. They are clearly labeled
 // extensions — EXPERIMENTS.md covers only the paper's own tables and
 // figures.
-
-// XEnergy reports the cache energy saved by phase-based resizing under
-// the adapt.EnergyModel, per benchmark.
-func XEnergy(o Options) error {
-	w := o.out()
-	fmt.Fprintln(w, "Extension: cache energy savings from phase-based resizing")
-	fmt.Fprintf(w, "%-10s %16s %16s\n", "Benchmark", "0%-bound savings", "5%-bound savings")
-	var rows []string
-	for _, spec := range workload.Predictable() {
-		a, err := o.analyze(spec)
-		if err != nil {
-			return err
-		}
-		wins, labels := collectPhaseIntervals(
-			spec.Make(a.ref), a.det.Selection.Markers, phaseIntervalLen)
-		s0 := adapt.DefaultEnergyModel.Savings(labels, wins, 0)
-		s5 := adapt.DefaultEnergyModel.Savings(labels, wins, 0.05)
-		fmt.Fprintf(w, "%-10s %15.1f%% %15.1f%%\n", spec.Name, 100*s0, 100*s5)
-		rows = append(rows, fmt.Sprintf("%s,%g,%g", spec.Name, s0, s5))
-	}
-	fmt.Fprintln(w, "expectation: positive savings wherever Fig. 6 shrinks the cache;",
-		"energy amplifies the benefit because unused ways stop burning power.")
-	return o.csv("xenergy.csv", "benchmark,savings_0,savings_5", rows)
-}
 
 // XDVFS reports phase-based frequency scaling: energy saved and
 // realized slowdown under a 5% bound.
@@ -68,44 +44,6 @@ func XDVFS(o Options) error {
 	fmt.Fprintln(w, "expectation: memory-bound programs scale down the most; the",
 		"slowdown bound is never violated because phases repeat exactly.")
 	return o.csv("xdvfs.csv", "benchmark,avg_freq,energy_saved,slowdown", rows)
-}
-
-// XSimPoint reports how well a handful of simulation points estimate
-// whole-run locality, per benchmark.
-func XSimPoint(o Options) error {
-	w := o.out()
-	fmt.Fprintln(w, "Extension: SimPoint-style estimation from BBV clusters")
-	fmt.Fprintf(w, "%-10s %10s %10s %12s %12s %10s\n",
-		"Benchmark", "intervals", "simpoints", "true miss32", "est miss32", "abs err")
-	var rows []string
-	for _, spec := range workload.Predictable() {
-		_, ref := o.params(spec)
-		col := bbv.NewCollectorWithLocality(maxI64(refInstrsEstimate(o, spec)/150, 1000), 7)
-		spec.Make(ref).Run(col)
-		ivs := col.Intervals()
-		if len(ivs) < 10 {
-			continue
-		}
-		ids := bbv.KMeans(ivs, 8, 42)
-		pts := bbv.SimPoints(ivs, ids)
-		est := bbv.Estimate(pts, func(i int) float64 { return ivs[i].Loc.MissAt(1) })
-		var truth float64
-		for _, iv := range ivs {
-			truth += iv.Loc.MissAt(1)
-		}
-		truth /= float64(len(ivs))
-		errAbs := est - truth
-		if errAbs < 0 {
-			errAbs = -errAbs
-		}
-		fmt.Fprintf(w, "%-10s %10d %10d %11.2f%% %11.2f%% %9.2f%%\n",
-			spec.Name, len(ivs), len(pts), 100*truth, 100*est, 100*errAbs)
-		rows = append(rows, fmt.Sprintf("%s,%d,%d,%g,%g", spec.Name, len(ivs), len(pts), truth, est))
-	}
-	fmt.Fprintln(w, "expectation: a handful of representatives estimate the full-run",
-		"miss rate within a few percent — why SimPoint works, and why phase",
-		"markers (which need no clustering) are the pro-active version of it.")
-	return o.csv("xsimpoint.csv", "benchmark,intervals,simpoints,true_miss,est_miss", rows)
 }
 
 // XPredictors compares next-window predictors over BBV cluster

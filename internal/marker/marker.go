@@ -165,51 +165,12 @@ func (s Selection) Coverage(totalInstrs int64) float64 {
 	return float64(sum) / float64(totalInstrs)
 }
 
-// LengthIrregularity measures how erratically the selection's phases
-// repeat: the instruction-weighted average, over phases, of the
-// coefficient of variation of each phase's region lengths. Real
-// locality phases recur with (nearly) the same length; a false marker
-// fragments a phase into pieces of different sizes and drives this up.
-func (s Selection) LengthIrregularity() float64 {
-	type agg struct {
-		n          float64
-		sum, sumSq float64
-	}
-	per := make(map[PhaseID]*agg)
-	for _, r := range s.Regions {
-		a := per[r.Phase]
-		if a == nil {
-			a = &agg{}
-			per[r.Phase] = a
-		}
-		l := float64(r.EndInstr - r.StartInstr)
-		a.n++
-		a.sum += l
-		a.sumSq += l * l
-	}
-	var total, wsum float64
-	for _, a := range per {
-		mean := a.sum / a.n
-		if mean <= 0 {
-			continue
-		}
-		variance := a.sumSq/a.n - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		cv := math.Sqrt(variance) / mean
-		total += cv * a.sum
-		wsum += a.sum
-	}
-	if wsum == 0 {
-		return 0
-	}
-	return total / wsum
-}
-
-// MaxLengthIrregularity is the worst single phase's length CV — the
-// signal a fragmenting false marker leaves even when regular phases
-// dominate the instruction-weighted average.
+// MaxLengthIrregularity measures how erratically the selection's
+// phases repeat: the largest, over phases, coefficient of variation of
+// a phase's region lengths. Real locality phases recur with (nearly)
+// the same length; a false marker fragments a phase into pieces of
+// different sizes and drives this up, even when regular phases cover
+// most of the run's instructions.
 func (s Selection) MaxLengthIrregularity() float64 {
 	type agg struct {
 		n, sum, sumSq float64

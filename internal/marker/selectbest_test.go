@@ -1,6 +1,7 @@
 package marker
 
 import (
+	"math"
 	"testing"
 
 	"lpp/internal/trace"
@@ -118,18 +119,30 @@ func TestLengthIrregularity(t *testing.T) {
 		{Phase: 0, StartInstr: 0, EndInstr: 100},
 		{Phase: 0, StartInstr: 100, EndInstr: 200},
 	}}
-	if got := regular.LengthIrregularity(); got != 0 {
+	if got := regular.MaxLengthIrregularity(); got != 0 {
 		t.Errorf("regular irregularity = %g, want 0", got)
 	}
 	irregular := Selection{Regions: []Region{
 		{Phase: 0, StartInstr: 0, EndInstr: 10},
 		{Phase: 0, StartInstr: 10, EndInstr: 1000},
 	}}
-	if got := irregular.LengthIrregularity(); got < 0.5 {
+	if got := irregular.MaxLengthIrregularity(); got < 0.5 {
 		t.Errorf("irregular irregularity = %g, want large", got)
 	}
-	if (Selection{}).LengthIrregularity() != 0 {
+	if (Selection{}).MaxLengthIrregularity() != 0 {
 		t.Error("empty selection should be 0")
+	}
+	// A regular phase dominates the instructions; the short phase's
+	// lengths 10 and 30 have CV 0.5. The instruction-weighted mean CV
+	// would be 0.5·40/240 ≈ 0.083; the worst phase's CV is 0.5.
+	mixed := Selection{Regions: []Region{
+		{Phase: 0, StartInstr: 0, EndInstr: 100},
+		{Phase: 1, StartInstr: 100, EndInstr: 110},
+		{Phase: 0, StartInstr: 110, EndInstr: 210},
+		{Phase: 1, StartInstr: 210, EndInstr: 240},
+	}}
+	if got := mixed.MaxLengthIrregularity(); math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("two-phase irregularity = %g, want the worst phase's 0.5", got)
 	}
 }
 

@@ -30,9 +30,6 @@ func MergeAdjacent(parts []Expr) Expr {
 	return NewMemo(0).MergeAdjacent(parts)
 }
 
-// Leaves returns the distinct leaf phase IDs of the hierarchy, sorted.
-func Leaves(e Expr) []int { return Alphabet(e) }
-
 // LeafCount returns how many leaf-phase executions one pass through e
 // takes, counting each repetition body once (Alt counts its longest
 // choice).

@@ -377,9 +377,9 @@ func TestMergeAdjacent(t *testing.T) {
 
 func TestLeaves(t *testing.T) {
 	h := Repeat{Seq(3, 1, 2), 1}
-	l := Leaves(h)
+	l := Alphabet(h)
 	if len(l) != 3 || l[0] != 1 || l[2] != 3 {
-		t.Errorf("Leaves = %v", l)
+		t.Errorf("Alphabet = %v", l)
 	}
 }
 

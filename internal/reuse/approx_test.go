@@ -144,6 +144,33 @@ func TestApproxEvictOldest(t *testing.T) {
 	}
 }
 
+func TestApproxPurgesSingleDeadEntry(t *testing.T) {
+	// A full index holding exactly one dead entry must drop it before
+	// inserting a new address, not grow around it.
+	ap := NewApproxAnalyzer(0.05)
+	addr := trace.Addr(0)
+	for ; !ap.last.Full(); addr++ {
+		ap.Access(addr)
+	}
+	if n := ap.EvictOldest(ap.Distinct() - 1); n != 1 {
+		t.Fatalf("evicted %d, want 1", n)
+	}
+	size := ap.last.Len()
+	if size != ap.Distinct()+1 {
+		t.Fatalf("index holds %d entries for %d live, want one dead", size, ap.Distinct())
+	}
+	ap.Access(addr)
+	if ap.last.Len() != size || !ap.last.Full() {
+		t.Errorf("index grew: %d entries, full %v; want %d, full", ap.last.Len(), ap.last.Full(), size)
+	}
+	if ap.last.Len() != ap.Distinct() {
+		t.Errorf("index holds %d entries for %d live: a dead entry is left", ap.last.Len(), ap.Distinct())
+	}
+	if d := ap.Access(0); d != Infinite {
+		t.Errorf("evicted address warm: %d", d)
+	}
+}
+
 func TestApproxEvictKeepsDistancesConsistent(t *testing.T) {
 	// After eviction the analyzer must keep producing sane distances:
 	// a cyclic working set larger than the cap degrades to cold

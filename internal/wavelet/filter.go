@@ -9,47 +9,22 @@ import (
 // a sub-trace gets its own coefficient — the form the paper's filtering
 // step needs ("computes the level-1 coefficient for each access").
 func Level1(x []float64, f Family) []float64 {
-	return LevelK(x, f, 1)
-}
-
-// LevelK computes the undecimated (à trous) detail coefficients of
-// level k ≥ 1: the scaling filter smooths the signal k-1 times with
-// filter taps spaced 2^(j-1) apart, then the wavelet filter produces
-// the detail. The paper "experimented with coefficients of the next
-// four levels and found the level-1 coefficient adequate"; this makes
-// that experiment reproducible.
-func LevelK(x []float64, f Family, level int) []float64 {
-	n := len(x)
-	if n == 0 {
+	if len(x) == 0 {
 		return nil
 	}
-	if level < 1 {
-		level = 1
-	}
-	h, g := f.Scaling(), f.Wavelet()
-	approx := append([]float64(nil), x...)
-	spacing := 1
-	for j := 1; j < level; j++ {
-		approx = convolveSpaced(approx, h, spacing)
-		spacing *= 2
-	}
-	return convolveSpaced(approx, g, spacing)
+	return convolveInto(make([]float64, len(x)), x, f.Wavelet())
 }
 
-// convolveSpaced applies filter taps spaced `spacing` apart with
-// symmetric extension, centering the filter on each sample.
-func convolveSpaced(x, filt []float64, spacing int) []float64 {
-	return convolveInto(make([]float64, len(x)), x, filt, spacing)
-}
-
-// convolveInto is convolveSpaced writing into out (len(out) == len(x)).
-func convolveInto(out, x, filt []float64, spacing int) []float64 {
+// convolveInto applies the filter taps to x with symmetric extension,
+// centering the filter on each sample, and writes the result into out
+// (len(out) == len(x)).
+func convolveInto(out, x, filt []float64) []float64 {
 	n := len(x)
-	off := (len(filt) / 2) * spacing
+	off := len(filt) / 2
 	for i := 0; i < n; i++ {
 		var v float64
 		for k := range filt {
-			v += filt[k] * x[reflect(i+k*spacing-off, n)]
+			v += filt[k] * x[reflect(i+k-off, n)]
 		}
 		out[i] = v
 	}
@@ -84,19 +59,6 @@ func Keep(x []float64, f Family) []bool {
 	return NewKeeper(f).Keep(x)
 }
 
-// KeepLevel is Keep using the level-k coefficients.
-func KeepLevel(x []float64, f Family, level int) []bool {
-	if level <= 1 {
-		return Keep(x, f)
-	}
-	kept := make([]bool, len(x))
-	if len(x) < 3 {
-		return kept
-	}
-	markAbrupt(kept, LevelK(x, f, level))
-	return kept
-}
-
 // Keeper is Keep with reusable state: it derives the family's wavelet
 // taps once and keeps its coefficient and result buffers, so filtering
 // many short windows allocates nothing once the buffers have grown to
@@ -119,7 +81,7 @@ func (k *Keeper) Keep(x []float64) []bool {
 		return k.kept
 	}
 	k.coefs = append(k.coefs[:0], make([]float64, n)...)
-	markAbrupt(k.kept, convolveInto(k.coefs, x, k.g, 1))
+	markAbrupt(k.kept, convolveInto(k.coefs, x, k.g))
 	return k.kept
 }
 

@@ -1,11 +1,11 @@
-// Package wavelet implements the Discrete Wavelet Transform used in
-// Section 2.2.2 of the paper to expose abrupt changes in per-datum
-// reuse-distance sub-traces. Three orthonormal families are provided —
-// Haar, Daubechies-4, and Daubechies-6 (the family the paper uses) —
-// together with a decimated multi-level DWT (with perfect
-// reconstruction, used for testing), an undecimated level-1 transform
-// that produces one detail coefficient per sample, and the m+3δ filter
-// rule that keeps only statistically significant coefficients.
+// Package wavelet implements the wavelet filter of Section 2.2.2 of the
+// paper, which exposes abrupt changes in per-datum reuse-distance
+// sub-traces. Three orthonormal families are provided — Haar,
+// Daubechies-4, and Daubechies-6 (the family the paper uses) — with an
+// undecimated level-1 transform that produces one detail coefficient
+// per sample, and the m+3δ filter rule that keeps only statistically
+// significant coefficients. The paper tried the next four levels and
+// found level 1 adequate, so only level 1 is implemented.
 package wavelet
 
 import "math"
@@ -66,95 +66,4 @@ func (f Family) Wavelet() []float64 {
 		}
 	}
 	return g
-}
-
-// Forward computes one decimated DWT level with periodic extension,
-// returning the approximation (scaling) and detail (wavelet)
-// coefficients. The input length must be even and positive.
-func Forward(x []float64, f Family) (approx, detail []float64) {
-	n := len(x)
-	if n == 0 || n%2 != 0 {
-		panic("wavelet: Forward needs positive even length")
-	}
-	h, g := f.Scaling(), f.Wavelet()
-	half := n / 2
-	approx = make([]float64, half)
-	detail = make([]float64, half)
-	for i := 0; i < half; i++ {
-		var a, d float64
-		for k := range h {
-			v := x[(2*i+k)%n]
-			a += h[k] * v
-			d += g[k] * v
-		}
-		approx[i] = a
-		detail[i] = d
-	}
-	return approx, detail
-}
-
-// Inverse reconstructs the signal from one decimated level produced by
-// Forward with the same family.
-func Inverse(approx, detail []float64, f Family) []float64 {
-	if len(approx) != len(detail) {
-		panic("wavelet: Inverse needs equal-length coefficient slices")
-	}
-	h, g := f.Scaling(), f.Wavelet()
-	half := len(approx)
-	n := 2 * half
-	x := make([]float64, n)
-	for i := 0; i < half; i++ {
-		for k := range h {
-			x[(2*i+k)%n] += h[k]*approx[i] + g[k]*detail[i]
-		}
-	}
-	return x
-}
-
-// Pyramid is a full multi-level decimated DWT: Details[l] holds the
-// detail coefficients of level l+1 and Approx the coarsest
-// approximation.
-type Pyramid struct {
-	Family  Family
-	Details [][]float64
-	Approx  []float64
-}
-
-// Transform computes up to levels decimated DWT levels (fewer if the
-// signal becomes too short to halve). The input is padded by repeating
-// the last sample when its length is odd.
-func Transform(x []float64, f Family, levels int) Pyramid {
-	cur := padEven(x)
-	p := Pyramid{Family: f}
-	for l := 0; l < levels && len(cur) >= 2; l++ {
-		a, d := Forward(cur, f)
-		p.Details = append(p.Details, d)
-		cur = padEven(a)
-	}
-	p.Approx = cur
-	return p
-}
-
-// Reconstruct inverts a Pyramid back to a signal (whose length may
-// include the even-padding samples added by Transform).
-func (p Pyramid) Reconstruct() []float64 {
-	cur := p.Approx
-	for l := len(p.Details) - 1; l >= 0; l-- {
-		d := p.Details[l]
-		// Transform may have padded the approximation after this
-		// level was produced; trim back to the detail length.
-		cur = cur[:len(d)]
-		cur = Inverse(cur, d, p.Family)
-	}
-	return cur
-}
-
-func padEven(x []float64) []float64 {
-	if len(x)%2 == 0 {
-		return x
-	}
-	out := make([]float64, len(x)+1)
-	copy(out, x)
-	out[len(x)] = x[len(x)-1]
-	return out
 }

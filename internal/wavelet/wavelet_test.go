@@ -3,7 +3,6 @@ package wavelet
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"lpp/internal/stats"
 )
@@ -36,6 +35,18 @@ func TestFilterOrthonormality(t *testing.T) {
 		if math.Abs(dot) > 1e-9 {
 			t.Errorf("%v: <h,g> = %g, want 0", f, dot)
 		}
+		// For an even-length quadrature-mirror pair <h,g> is zero
+		// whatever the taps, so the check that catches a wrong tap
+		// is h's orthogonality to its own even shifts.
+		for m := 1; m < len(h)/2; m++ {
+			var r float64
+			for k := 0; k+2*m < len(h); k++ {
+				r += h[k] * h[k+2*m]
+			}
+			if math.Abs(r) > 1e-9 {
+				t.Errorf("%v: Σ h[k]·h[k+%d] = %g, want 0", f, 2*m, r)
+			}
+		}
 	}
 }
 
@@ -43,96 +54,6 @@ func TestFamilyString(t *testing.T) {
 	if Haar.String() != "Haar" || Daubechies6.String() != "Daubechies-6" ||
 		Daubechies4.String() != "Daubechies-4" || Family(99).String() != "unknown" {
 		t.Error("unexpected family names")
-	}
-}
-
-func TestForwardInversePerfectReconstruction(t *testing.T) {
-	for _, f := range allFamilies {
-		rng := stats.NewRNG(uint64(f) + 1)
-		x := make([]float64, 64)
-		for i := range x {
-			x[i] = rng.Float64()*100 - 50
-		}
-		a, d := Forward(x, f)
-		y := Inverse(a, d, f)
-		for i := range x {
-			if math.Abs(x[i]-y[i]) > 1e-9 {
-				t.Fatalf("%v: reconstruction error at %d: %g vs %g", f, i, x[i], y[i])
-			}
-		}
-	}
-}
-
-func TestForwardRejectsBadLength(t *testing.T) {
-	for _, bad := range [][]float64{nil, {1, 2, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Forward(%v) should panic", bad)
-				}
-			}()
-			Forward(bad, Haar)
-		}()
-	}
-}
-
-func TestInverseRejectsMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Inverse with mismatched lengths should panic")
-		}
-	}()
-	Inverse([]float64{1}, []float64{1, 2}, Haar)
-}
-
-func TestHaarForwardKnownValues(t *testing.T) {
-	a, d := Forward([]float64{1, 1, 4, 2}, Haar)
-	r2 := math.Sqrt2
-	wantA := []float64{2 / r2, 6 / r2}
-	wantD := []float64{0, 2 / r2}
-	for i := range wantA {
-		if math.Abs(a[i]-wantA[i]) > 1e-12 || math.Abs(d[i]-wantD[i]) > 1e-12 {
-			t.Fatalf("a=%v d=%v, want a=%v d=%v", a, d, wantA, wantD)
-		}
-	}
-}
-
-func TestTransformReconstructRoundTrip(t *testing.T) {
-	f := func(seed uint64, rawLen uint8, levels uint8) bool {
-		n := int(rawLen)%100 + 2
-		lv := int(levels)%4 + 1
-		rng := stats.NewRNG(seed)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.Float64() * 10
-		}
-		for _, fam := range allFamilies {
-			p := Transform(x, fam, lv)
-			y := p.Reconstruct()
-			if len(y) < n {
-				return false
-			}
-			for i := 0; i < n; i++ {
-				if math.Abs(x[i]-y[i]) > 1e-8 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTransformLevelsShrink(t *testing.T) {
-	x := make([]float64, 32)
-	p := Transform(x, Haar, 3)
-	if len(p.Details) != 3 {
-		t.Fatalf("levels = %d, want 3", len(p.Details))
-	}
-	if len(p.Details[0]) != 16 || len(p.Details[1]) != 8 || len(p.Details[2]) != 4 {
-		t.Errorf("detail lengths = %d,%d,%d", len(p.Details[0]), len(p.Details[1]), len(p.Details[2]))
 	}
 }
 
@@ -261,83 +182,5 @@ func BenchmarkLevel1D6(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Level1(x, Daubechies6)
-	}
-}
-
-func TestLevelKDetectsStepAtHigherLevels(t *testing.T) {
-	// The step must dominate the coefficient field at levels 1..4
-	// (the levels the paper experimented with).
-	x := make([]float64, 128)
-	for i := range x {
-		if i >= 64 {
-			x[i] = 1000
-		} else {
-			x[i] = 10
-		}
-	}
-	for level := 1; level <= 4; level++ {
-		coefs := LevelK(x, Daubechies6, level)
-		best, bestMag := -1, 0.0
-		for i, c := range coefs {
-			if m := math.Abs(c); m > bestMag {
-				best, bestMag = i, m
-			}
-		}
-		// Higher levels blur the location; tolerance grows with
-		// the filter's effective support.
-		tol := 4 * (1 << (level - 1))
-		if best < 64-tol || best > 64+tol {
-			t.Errorf("level %d: peak at %d, want near 64 (±%d)", level, best, tol)
-		}
-	}
-}
-
-func TestKeepLevelOneAdequate(t *testing.T) {
-	// The paper's finding: level-1 filtering suffices — higher
-	// levels keep a similar (slightly blurrier) set around the same
-	// abrupt change.
-	n := 256
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i) * 0.5
-		if i >= 128 {
-			x[i] += 5000
-		}
-	}
-	k1 := KeptIndices(x, Daubechies6)
-	if len(k1) == 0 {
-		t.Fatal("level 1 kept nothing")
-	}
-	var k2 []int
-	for i, k := range KeepLevel(x, Daubechies6, 2) {
-		if k {
-			k2 = append(k2, i)
-		}
-	}
-	if len(k2) == 0 {
-		t.Fatal("level 2 kept nothing")
-	}
-	// Both concentrate near the jump at 128.
-	for _, set := range [][]int{k1, k2} {
-		for _, i := range set {
-			if i < 118 || i > 138 {
-				t.Errorf("kept index %d far from the jump", i)
-			}
-		}
-	}
-}
-
-func TestLevelKDegenerateArgs(t *testing.T) {
-	if LevelK(nil, Haar, 3) != nil {
-		t.Error("empty signal should be nil")
-	}
-	// level < 1 clamps to 1.
-	x := []float64{1, 2, 3, 4}
-	a := LevelK(x, Haar, 0)
-	b := Level1(x, Haar)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Error("level 0 should behave as level 1")
-		}
 	}
 }
