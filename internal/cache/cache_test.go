@@ -203,7 +203,12 @@ func BenchmarkMultiAssocAccess(b *testing.B) {
 	}
 }
 
-// firstAccesses records the first n data accesses of a run.
+// refPrefixLen is the length of the Ref prefixes the simulator is
+// benchmarked and pinned on: the first 4M accesses of each run (mesh's
+// whole Ref run is shorter, so it is simulated in full).
+const refPrefixLen = 1 << 22
+
+// firstAccesses records the first cap(addrs) data accesses of a run.
 type firstAccesses struct {
 	addrs []trace.Addr
 }
@@ -216,28 +221,71 @@ func (f *firstAccesses) Access(a trace.Addr) {
 	}
 }
 
-// BenchmarkMultiAssocAccessBatch feeds the simulator the first 4M
-// accesses of the tomcatv Ref address stream in 8K-access batches, the
-// way the marked Ref run of core.Predict does, and reports ns per
-// access.
-func BenchmarkMultiAssocAccessBatch(b *testing.B) {
-	spec, err := workload.ByName("tomcatv")
+// refPrefix returns the first refPrefixLen accesses of the named
+// kernel's Ref run.
+func refPrefix(tb testing.TB, name string) []trace.Addr {
+	tb.Helper()
+	spec, err := workload.ByName(name)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	rec := &firstAccesses{addrs: make([]trace.Addr, 0, 1<<22)}
+	rec := &firstAccesses{addrs: make([]trace.Addr, 0, refPrefixLen)}
 	spec.Make(spec.Ref).Run(rec)
-	addrs := rec.addrs
+	return rec.addrs
+}
+
+// simulateBatched feeds addrs to m in 8K-access batches, the way the
+// marked Ref run of core.Predict does.
+func simulateBatched(m *MultiAssoc, addrs []trace.Addr) {
 	const batch = 1 << 13
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for lo := 0; lo < len(addrs); lo += batch {
+		m.AccessBatch(addrs[lo:min(lo+batch, len(addrs))])
+	}
+}
+
+// BenchmarkMultiAssocAccessBatch feeds the default simulator the Ref
+// prefix of each offline-pipeline kernel and reports ns per access.
+// tomcatv misses 7.7% of the time at 8 ways; swim's prefix misses
+// 61.7%, the regime where the move-to-front shift dominates.
+func BenchmarkMultiAssocAccessBatch(b *testing.B) {
+	for _, name := range []string{"tomcatv", "swim", "fft", "mesh"} {
+		b.Run(name, func(b *testing.B) {
+			addrs := refPrefix(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				simulateBatched(NewDefault(), addrs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(addrs)), "ns/access")
+		})
+	}
+}
+
+// TestMultiAssocRefDepthPinned pins the default simulator's per-depth
+// hit counts (index MaxAssoc: misses) on the tomcatv and swim Ref
+// prefixes, recorded with the slice-stack simulator.
+func TestMultiAssocRefDepthPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want [MaxAssoc + 1]uint64
+	}{
+		{"tomcatv", [MaxAssoc + 1]uint64{214592, 1377119, 338584, 1934333, 64, 3532, 2048, 320, 323712}},
+		{"swim", [MaxAssoc + 1]uint64{586426, 16250, 100438, 15748, 4, 17384, 871690, 0, 2586364}},
+	} {
+		addrs := refPrefix(t, tc.name)
 		m := NewDefault()
-		for lo := 0; lo < len(addrs); lo += batch {
-			m.AccessBatch(addrs[lo:min(lo+batch, len(addrs))])
+		simulateBatched(m, addrs)
+		var got [MaxAssoc + 1]uint64
+		s := m.Snapshot()
+		copy(got[:], s.depthHits[:])
+		got[MaxAssoc] = m.Accesses()
+		for _, h := range s.depthHits {
+			got[MaxAssoc] -= h
+		}
+		if len(addrs) != refPrefixLen || got != tc.want {
+			t.Errorf("%s: %d accesses, depth counts %v; want %d, %v", tc.name, len(addrs), got, refPrefixLen, tc.want)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(addrs)), "ns/access")
 }
 
 func TestSpread(t *testing.T) {
@@ -295,13 +343,62 @@ func TestSinkAndBlockPassthroughs(t *testing.T) {
 	}
 }
 
+// TestNewMultiAssocBadGeometry: every geometry the simulator cannot
+// run panics at construction, not at the first access (zero ways), not
+// as a wrong answer (a shift that maps every address to block 0, a
+// depth past MaxAssoc that Snapshot and Vector would drop), and not
+// with a block number that could equal the empty-way sentinel.
 func TestNewMultiAssocBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+	for _, g := range []struct{ sets, maxAssoc, blockBits int }{
+		{3, 8, 6},
+		{0, 8, 6},
+		{-4, 8, 6},
+		{4, 0, 6},
+		{4, -1, 6},
+		{4, MaxAssoc + 1, 6},
+		{4, 8, 0},
+		{4, 8, -1},
+		{4, 8, 64},
+		{4, 8, 70},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMultiAssoc(%d, %d, %d) did not panic", g.sets, g.maxAssoc, g.blockBits)
+				}
+			}()
+			NewMultiAssoc(g.sets, g.maxAssoc, g.blockBits)
+		}()
+	}
+	// The extremes of the accepted range construct and simulate.
+	for _, g := range []struct{ sets, maxAssoc, blockBits int }{
+		{1, 1, 1},
+		{1, MaxAssoc, 63},
+	} {
+		m := NewMultiAssoc(g.sets, g.maxAssoc, g.blockBits)
+		m.Access(^trace.Addr(0))
+		m.Access(^trace.Addr(0))
+		if m.MissRate(g.maxAssoc) != 0.5 {
+			t.Errorf("NewMultiAssoc(%d, %d, %d): miss rate %g, want 0.5", g.sets, g.maxAssoc, g.blockBits, m.MissRate(g.maxAssoc))
 		}
-	}()
-	NewMultiAssoc(3, 8, 6)
+	}
+}
+
+// TestMultiAssocAccessBatchZeroAllocs: simulating an access allocates
+// nothing, through AccessBatch or Access.
+func TestMultiAssocAccessBatchZeroAllocs(t *testing.T) {
+	m := NewDefault()
+	rng := stats.NewRNG(5)
+	addrs := make([]trace.Addr, 4096)
+	for i := range addrs {
+		addrs[i] = trace.Addr(rng.Intn(1 << 22))
+	}
+	if n := testing.AllocsPerRun(20, func() { m.AccessBatch(addrs) }); n != 0 {
+		t.Errorf("AccessBatch: %v allocs per batch, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { m.Access(addrs[7]) }); n != 0 {
+		t.Errorf("Access: %v allocs per access, want 0", n)
+	}
 }
 
 func TestSetAssocMissRateEmpty(t *testing.T) {

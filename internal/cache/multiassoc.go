@@ -8,29 +8,43 @@ import "lpp/internal/trace"
 // to maxAssoc blocks; the depth at which an access hits determines the
 // smallest associativity that would have hit it.
 type MultiAssoc struct {
-	sets      int
 	maxAssoc  int
 	blockBits int
-	stacks    [][]trace.Addr
+	// ways holds each set's LRU stack, most recently used first, in a
+	// fixed MaxAssoc-wide array. A way that holds no block holds
+	// emptyWay, and every way at index maxAssoc or beyond stays empty.
+	ways [][MaxAssoc]trace.Addr
 	// depthHits[d] counts accesses that hit at stack depth d
 	// (0-based). An access at depth d hits for every assoc > d.
-	depthHits []uint64
+	// depthHits[MaxAssoc] counts the misses.
+	depthHits [MaxAssoc + 1]uint64
 	accesses  uint64
 }
 
+// emptyWay marks a way that holds no block. No block number equals it:
+// a block number is an address shifted right by blockBits ≥ 1.
+const emptyWay = ^trace.Addr(0)
+
 // NewMultiAssoc returns a one-pass multi-associativity simulator. sets
-// must be a power of two.
+// must be a power of two, maxAssoc in 1..MaxAssoc and blockBits in
+// 1..63.
 func NewMultiAssoc(sets, maxAssoc, blockBits int) *MultiAssoc {
 	if sets&(sets-1) != 0 || sets <= 0 {
 		panic("cache: sets must be a positive power of two")
 	}
-	return &MultiAssoc{
-		sets:      sets,
+	if maxAssoc < 1 || maxAssoc > MaxAssoc {
+		panic("cache: maxAssoc must be in 1..MaxAssoc")
+	}
+	if blockBits < 1 || blockBits > 63 {
+		panic("cache: blockBits must be in 1..63")
+	}
+	m := &MultiAssoc{
 		maxAssoc:  maxAssoc,
 		blockBits: blockBits,
-		stacks:    make([][]trace.Addr, sets),
-		depthHits: make([]uint64, maxAssoc),
+		ways:      make([][MaxAssoc]trace.Addr, sets),
 	}
+	m.Reset()
+	return m
 }
 
 // NewDefault returns a MultiAssoc with the paper's geometry: 512 sets,
@@ -49,39 +63,68 @@ func (m *MultiAssoc) Access(addr trace.Addr) {
 // marked Ref run feeds it whole batches of accesses between marker
 // firings, so the geometry is read once per batch and no access pays
 // an interface dispatch.
+//
+// The ways of a set are written out one by one. The search compares
+// them front to back and stops at the first match; a miss counts as
+// depth d = MaxAssoc. The move-to-front
+// is a fixed-width conditional shift: way i takes way i-1's block when
+// i ≤ d. Each step compiles to a conditional move, so the shift costs
+// the same at every depth and never mispredicts. On a miss the block
+// shifted into way maxAssoc is the evicted one, and that way is
+// emptied again.
 func (m *MultiAssoc) AccessBatch(addrs []trace.Addr) {
-	shift, mask := m.blockBits, trace.Addr(m.sets-1)
-	stacks, depthHits, maxAssoc := m.stacks, m.depthHits, m.maxAssoc
-next:
+	// blockBits is in 1..63, so masking the shift count changes nothing
+	// but lets the shift compile to one instruction.
+	shift, mask := uint(m.blockBits)&63, trace.Addr(len(m.ways)-1)
+	ways, depthHits, maxAssoc := m.ways, &m.depthHits, m.maxAssoc
 	for _, addr := range addrs {
 		blk := addr >> shift
-		set := blk & mask
-		stack := stacks[set]
-		for i, b := range stack {
-			if b == blk {
-				depthHits[i]++
-				shiftDown(stack[:i+1])
-				stack[0] = blk
-				continue next
-			}
+		w := &ways[blk&mask]
+		d := MaxAssoc
+		switch blk {
+		case w[0]:
+			d = 0
+		case w[1]:
+			d = 1
+		case w[2]:
+			d = 2
+		case w[3]:
+			d = 3
+		case w[4]:
+			d = 4
+		case w[5]:
+			d = 5
+		case w[6]:
+			d = 6
+		case w[7]:
+			d = 7
 		}
-		if len(stack) < maxAssoc {
-			stack = append(stack, 0)
-			stacks[set] = stack
+		depthHits[d]++
+		w[7] = pick(d >= 7, w[6], w[7])
+		w[6] = pick(d >= 6, w[5], w[6])
+		w[5] = pick(d >= 5, w[4], w[5])
+		w[4] = pick(d >= 4, w[3], w[4])
+		w[3] = pick(d >= 3, w[2], w[3])
+		w[2] = pick(d >= 2, w[1], w[2])
+		w[1] = pick(d >= 1, w[0], w[1])
+		w[0] = blk
+		if maxAssoc < MaxAssoc {
+			w[maxAssoc] = emptyWay
 		}
-		shiftDown(stack)
-		stack[0] = blk
 	}
 	m.accesses += uint64(len(addrs))
 }
 
-// shiftDown moves s[:len(s)-1] one slot toward the end, dropping the
-// last element: an LRU stack's move-to-front. Stacks hold at most
-// MaxAssoc blocks, so a plain loop beats a memmove call.
-func shiftDown(s []trace.Addr) {
-	for i := len(s) - 1; i > 0; i-- {
-		s[i] = s[i-1]
+// The unrolled search and shift in AccessBatch assume eight ways.
+const _ = uint(MaxAssoc-8) + uint(8-MaxAssoc)
+
+// pick returns a if c, else b. Both operands are already loaded, so
+// the compiler emits a conditional move rather than a branch.
+func pick(c bool, a, b trace.Addr) trace.Addr {
+	if c {
+		return a
 	}
+	return b
 }
 
 // Block implements trace.Instrumenter (blocks are ignored).
@@ -119,12 +162,12 @@ func (m *MultiAssoc) Vector() Vector {
 
 // Reset clears cache contents and counters.
 func (m *MultiAssoc) Reset() {
-	for i := range m.stacks {
-		m.stacks[i] = m.stacks[i][:0]
+	for i := range m.ways {
+		for j := range m.ways[i] {
+			m.ways[i][j] = emptyWay
+		}
 	}
-	for i := range m.depthHits {
-		m.depthHits[i] = 0
-	}
+	m.depthHits = [MaxAssoc + 1]uint64{}
 	m.accesses = 0
 }
 
@@ -138,7 +181,7 @@ type Snapshot struct {
 // Snapshot returns the current counter state.
 func (m *MultiAssoc) Snapshot() Snapshot {
 	var s Snapshot
-	copy(s.depthHits[:], m.depthHits)
+	copy(s.depthHits[:], m.depthHits[:])
 	s.accesses = m.accesses
 	return s
 }
