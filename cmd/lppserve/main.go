@@ -50,7 +50,7 @@
 //
 // Usage:
 //
-//	lppserve [-addr :8080] [-queue 8] [-shards 16] [-max-sessions 256]
+//	lppserve [-addr :8080] [-queue 8] [-max-sessions 256]
 //	         [-max-chunk 8388608] [-data DIR] [-sync] [-checkpoint-every 64]
 //	         [-idle-timeout 0] [-drain 10s] [-consumers predictor:strict,cacheresize]
 //	         [-knowledge FILE] [-knowledge-cap 1024] [-knowledge-threshold 0.70]
@@ -99,7 +99,6 @@ func run(args []string, ready chan<- string, quit <-chan struct{}) error {
 		maxStride   = fs.Int("max-stride", 0, "load-shedding stride cap (0 = default 16, 1 disables)")
 		minGap      = fs.Int64("min-boundary-gap", 0, "suppress boundaries closer than this many accesses to the previous one (0 = disabled)")
 		maxSig      = fs.Int("max-signature", 0, "cap on locality-signature pages per phase segment (0 = default 4096)")
-		shards      = fs.Int("shards", 0, "session-table lock stripes, rounded up to a power of two (0 = default 16)")
 		dataDir     = fs.String("data", "", "durable session directory (empty = in-memory only)")
 		syncWrites  = fs.Bool("sync", false, "fsync every WAL append and checkpoint")
 		ckptEvery   = fs.Int("checkpoint-every", 0, "accepted chunks between checkpoints (0 = default 64)")
@@ -178,7 +177,6 @@ func run(args []string, ready chan<- string, quit <-chan struct{}) error {
 		Consumers:       consumerFactory,
 		Knowledge:       kstore,
 		QueueDepth:      *queue,
-		Shards:          *shards,
 		MaxSessions:     *maxSessions,
 		MaxChunkBytes:   *maxChunk,
 		DataDir:         *dataDir,

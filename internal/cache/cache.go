@@ -40,13 +40,16 @@ type SetAssoc struct {
 }
 
 // NewSetAssoc returns a cache with the given geometry. sets must be a
-// power of two.
+// power of two and blockBits in 0..63 (0 means 1-byte blocks).
 func NewSetAssoc(sets, assoc, blockBits int) *SetAssoc {
 	if sets&(sets-1) != 0 || sets <= 0 {
 		panic("cache: sets must be a positive power of two")
 	}
 	if assoc <= 0 {
 		panic("cache: assoc must be positive")
+	}
+	if blockBits < 0 || blockBits > 63 {
+		panic("cache: blockBits must be in 0..63")
 	}
 	c := &SetAssoc{sets: sets, assoc: assoc, blockBits: blockBits}
 	c.lines = make([][]trace.Addr, sets)

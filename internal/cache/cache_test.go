@@ -62,6 +62,9 @@ func TestSetAssocBadGeometry(t *testing.T) {
 		func() { NewSetAssoc(3, 1, 6) },
 		func() { NewSetAssoc(0, 1, 6) },
 		func() { NewSetAssoc(4, 0, 6) },
+		func() { NewSetAssoc(4, 1, -1) },
+		func() { NewSetAssoc(4, 1, 64) },
+		func() { NewSetAssoc(4, 1, 70) },
 	} {
 		func() {
 			defer func() {
@@ -71,6 +74,13 @@ func TestSetAssocBadGeometry(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+	// Both ends of the blockBits range construct and simulate.
+	for _, bits := range []int{0, 63} {
+		c := NewSetAssoc(4, 1, bits)
+		if c.Access(1<<63) || !c.Access(1<<63) {
+			t.Errorf("blockBits %d: want miss then hit", bits)
+		}
 	}
 }
 

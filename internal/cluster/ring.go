@@ -35,11 +35,10 @@ type Ring struct {
 	owners []string
 }
 
-// ringHash is FNV-1a (the same family the server's session shards
-// use) pushed through a 64-bit avalanche finisher. Raw FNV correlates
-// on the near-identical "node#0", "node#1", ... vnode labels, which
-// bunches points and skews the load split; the final mix decorrelates
-// them.
+// ringHash is FNV-1a pushed through a 64-bit avalanche finisher. Raw
+// FNV correlates on the near-identical "node#0", "node#1", ... vnode
+// labels, which bunches points and skews the load split; the final mix
+// decorrelates them.
 func ringHash(s string) uint64 {
 	const (
 		offset = 14695981039346656037

@@ -6,6 +6,15 @@ import (
 	"lpp/internal/regexphase"
 )
 
+var (
+	// molDyn is (0 (1 2)+)+.
+	molDyn = regexphase.Repeat{E: regexphase.Concat{Parts: []regexphase.Expr{
+		regexphase.Lit{Sym: 0}, regexphase.Repeat{E: regexphase.Seq(1, 2), Min: 1}}}, Min: 1}
+	// prefixed is 9 (1 2)+.
+	prefixed = regexphase.Concat{Parts: []regexphase.Expr{
+		regexphase.Lit{Sym: 9}, regexphase.Repeat{E: regexphase.Seq(1, 2), Min: 1}}}
+)
+
 func TestCompositeTriggerTimeSteps(t *testing.T) {
 	// Tomcatv hierarchy: the trigger fires once per five-substep
 	// time step.
@@ -34,11 +43,7 @@ func TestCompositeTriggerNestedHierarchy(t *testing.T) {
 	// MolDyn hierarchy (0 (1 2)+)+: the largest composite body is
 	// "0 (1 2)+", so the trigger fires at each neighbor-list rebuild
 	// — exactly when dynamic data packing should reorganize.
-	h, err := regexphase.Parse("(0 (1 2)+)+")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCompositeTrigger(h, nil)
+	c := NewCompositeTrigger(molDyn, nil)
 	seq := []int{0, 1, 2, 1, 2, 1, 2, 0, 1, 2, 1, 2}
 	for _, ph := range seq {
 		c.Observe(ph)
@@ -50,11 +55,7 @@ func TestCompositeTriggerNestedHierarchy(t *testing.T) {
 
 func TestCompositeTriggerPrefixedHierarchy(t *testing.T) {
 	// "9 (1 2)+": initialization phase 9 is outside the composite.
-	h, err := regexphase.Parse("9 (1 2)+")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCompositeTrigger(h, nil)
+	c := NewCompositeTrigger(prefixed, nil)
 	for _, ph := range []int{9, 1, 2, 1, 2, 1, 2} {
 		c.Observe(ph)
 	}
@@ -79,21 +80,17 @@ func TestCompositeTriggerAmbiguous(t *testing.T) {
 
 func TestFirstLeafOfLargestComposite(t *testing.T) {
 	cases := []struct {
-		in   string
+		in   regexphase.Expr
 		leaf int
 		ok   bool
 	}{
-		{"(0 1 2 3 4)+", 0, true},
-		{"9 (1 2)+", 1, true},
-		{"(0 (1 2)+)+", 0, true},
-		{"7", 7, true},
+		{regexphase.Repeat{E: regexphase.Seq(0, 1, 2, 3, 4), Min: 1}, 0, true},
+		{prefixed, 1, true},
+		{molDyn, 0, true},
+		{regexphase.Lit{Sym: 7}, 7, true},
 	}
 	for _, c := range cases {
-		e, err := regexphase.Parse(c.in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leaf, ok := regexphase.FirstLeafOfLargestComposite(e)
+		leaf, ok := regexphase.FirstLeafOfLargestComposite(c.in)
 		if ok != c.ok || (ok && leaf != c.leaf) {
 			t.Errorf("%q: leaf=%d ok=%v, want %d %v", c.in, leaf, ok, c.leaf, c.ok)
 		}

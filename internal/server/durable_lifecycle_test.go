@@ -61,11 +61,7 @@ func TestQuarantineAfterPanic(t *testing.T) {
 // detector state lost.
 func TestIdleReaperSuspends(t *testing.T) {
 	dir := t.TempDir()
-	s := mustServer(t, Config{
-		DataDir:      dir,
-		IdleTimeout:  30 * time.Millisecond,
-		ReapInterval: 5 * time.Millisecond,
-	})
+	s := mustServer(t, Config{DataDir: dir, IdleTimeout: 30 * time.Millisecond})
 	defer s.Close()
 	h := s.Handler()
 	events := syntheticEvents(14, 6, 6)

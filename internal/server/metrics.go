@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// latencyRingSize bounds each shard's chunk-latency history used for
-// the percentile and events/sec gauges: recent window, O(1) memory.
-const latencyRingSize = 256
+// latencyRingSize bounds the chunk-latency history used for the
+// percentile and events/sec gauges: recent window, O(1) memory.
+const latencyRingSize = 4096
 
 // chunkSample is one processed chunk's contribution to the windowed
 // rate and latency metrics.
@@ -21,22 +21,12 @@ type chunkSample struct {
 	events  int
 }
 
-// latencyRing is one shard's bounded window of recent chunk samples.
-// Rings shard with the session table so the hot-path observation never
-// contends across shards; scrapes merge all rings.
-type latencyRing struct {
-	mu   sync.Mutex
-	ring [latencyRingSize]chunkSample
-	n    int // samples written (ring index = n % latencyRingSize)
-}
-
 // metrics aggregates server-wide counters (atomics, updated on the hot
-// path) and per-shard rings of recent chunk samples (each mutex-guarded,
-// folded into percentiles only on scrape).
+// path) and a ring of recent chunk samples (mutex-guarded, folded into
+// percentiles only on scrape).
 type metrics struct {
 	start time.Time
 
-	sessionsActive atomic.Int64
 	sessionsTotal  atomic.Int64
 	eventsTotal    atomic.Int64
 	chunksTotal    atomic.Int64
@@ -69,7 +59,9 @@ type metrics struct {
 	consumerEvents []atomic.Int64
 	consumerErrors []atomic.Int64
 
-	rings []latencyRing // one per session-table shard
+	ringMu sync.Mutex
+	ring   [latencyRingSize]chunkSample
+	ringN  int // samples written (ring index = ringN % latencyRingSize)
 }
 
 // initConsumers registers the per-consumer counter slots.
@@ -89,40 +81,32 @@ func (m *metrics) addConsumer(i int, events, errors int64) {
 	m.consumerErrors[i].Add(errors)
 }
 
-// observeChunk records one completed chunk on its session's shard: the
-// end-to-end detection latency (enqueue to reply) and event count.
-func (m *metrics) observeChunk(shard int, lat time.Duration, events int) {
+// observeChunk records one completed chunk: the end-to-end detection
+// latency (enqueue to reply) and event count.
+func (m *metrics) observeChunk(lat time.Duration, events int) {
 	m.chunksTotal.Add(1)
 	m.eventsTotal.Add(int64(events))
-	r := &m.rings[shard]
-	r.mu.Lock()
-	r.ring[r.n%latencyRingSize] = chunkSample{done: time.Now(), latency: lat, events: events}
-	r.n++
-	r.mu.Unlock()
+	m.ringMu.Lock()
+	m.ring[m.ringN%latencyRingSize] = chunkSample{done: time.Now(), latency: lat, events: events}
+	m.ringN++
+	m.ringMu.Unlock()
 }
 
-// snapshot merges every shard's ring into the windowed gauges.
+// snapshot folds the ring into the windowed gauges.
 func (m *metrics) snapshot() (rate float64, p50, p90, p99 time.Duration) {
-	var lats []time.Duration
 	var events int
 	oldest := time.Time{}
-	for i := range m.rings {
-		r := &m.rings[i]
-		r.mu.Lock()
-		count := r.n
-		if count > latencyRingSize {
-			count = latencyRingSize
+	m.ringMu.Lock()
+	lats := make([]time.Duration, min(m.ringN, latencyRingSize))
+	for j := range lats {
+		s := m.ring[j]
+		lats[j] = s.latency
+		events += s.events
+		if oldest.IsZero() || s.done.Before(oldest) {
+			oldest = s.done
 		}
-		for j := 0; j < count; j++ {
-			s := r.ring[j]
-			lats = append(lats, s.latency)
-			events += s.events
-			if oldest.IsZero() || s.done.Before(oldest) {
-				oldest = s.done
-			}
-		}
-		r.mu.Unlock()
 	}
+	m.ringMu.Unlock()
 	if len(lats) == 0 {
 		return 0, 0, 0, 0
 	}
@@ -137,11 +121,12 @@ func (m *metrics) snapshot() (rate float64, p50, p90, p99 time.Duration) {
 	return rate, pct(0.50), pct(0.90), pct(0.99)
 }
 
-// write renders the metrics in Prometheus text exposition format.
-func (m *metrics) write(w io.Writer) {
+// write renders the metrics in Prometheus text exposition format;
+// active is the number of live sessions.
+func (m *metrics) write(w io.Writer, active int) {
 	rate, p50, p90, p99 := m.snapshot()
 	fmt.Fprintf(w, "# TYPE lpp_sessions_active gauge\n")
-	fmt.Fprintf(w, "lpp_sessions_active %d\n", m.sessionsActive.Load())
+	fmt.Fprintf(w, "lpp_sessions_active %d\n", active)
 	fmt.Fprintf(w, "# TYPE lpp_sessions_total counter\n")
 	fmt.Fprintf(w, "lpp_sessions_total %d\n", m.sessionsTotal.Load())
 	fmt.Fprintf(w, "# TYPE lpp_events_total counter\n")

@@ -121,10 +121,7 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 // local durable copy and point the session at its new owner (?target=).
 func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.placeMu.Lock()
-	_, ok := s.migrating[id]
-	s.placeMu.Unlock()
-	if !ok {
+	if !s.isMigrating(id) {
 		writeErr(w, http.StatusConflict, "no migration in progress for session")
 		return
 	}
@@ -149,10 +146,7 @@ func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 // revives here on its next request.
 func (s *Server) handleMigrateAbort(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.placeMu.Lock()
-	_, ok := s.migrating[id]
-	s.placeMu.Unlock()
-	if !ok {
+	if !s.isMigrating(id) {
 		writeErr(w, http.StatusConflict, "no migration in progress for session")
 		return
 	}

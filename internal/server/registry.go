@@ -1,80 +1,39 @@
 package server
 
 // The registry layer: who owns each session, and which goroutine may
-// touch it. The session table is striped into shards; placement state
-// that outlives a live worker (migrating, remote) lives in the
-// placement maps guarded by placeMu. The transport layer asks the
-// registry for a session and never touches workers directly.
+// touch it. One mutex (Server.mu) guards the live-session table, the
+// placement markers that outlive a live worker (migrating, remote) and
+// the closed flag, so every lifecycle decision reads one consistent
+// view. The transport layer asks the registry for a session and never
+// touches workers directly.
+//
+// Lock order: replicaMu, then mu. mu is never held across a queue
+// send, a durable.Store call, or replicaMu.
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
-// shard is one lock stripe of the session table. Sessions are assigned
-// by a hash of their ID, so two sessions on different shards never
-// contend on a table lock — only the global counters (atomics) are
-// shared. Server-wide invariants that used to live under one mutex are
-// split accordingly: membership of one id is a shard-local question,
-// while the session cap and the closed flag are global atomics checked
-// inside the shard critical section.
-type shard struct {
-	mu       sync.Mutex
-	sessions map[string]*session
-}
-
-// FNV-1a, inlined: the IDs are short and the hash runs on every
-// request, so this avoids the hash/fnv allocation-and-interface dance.
-const (
-	fnvOffset32 = 2166136261
-	fnvPrime32  = 16777619
-)
-
-func fnv1a(s string) uint32 {
-	h := uint32(fnvOffset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= fnvPrime32
-	}
-	return h
-}
-
-// shardFor returns the stripe owning id. The shard count is a power of
-// two, so the mask keeps the mapping branch-free.
-func (s *Server) shardFor(id string) *shard {
-	return &s.shards[fnv1a(id)&s.shardMask]
-}
-
-// shardIndex is shardFor as an index, for the per-shard metrics rings.
-func (s *Server) shardIndex(id string) int {
-	return int(fnv1a(id) & s.shardMask)
-}
-
-// drainSessions atomically empties every shard and returns all removed
-// sessions. Callers must have made new creations impossible first (by
-// storing closed), so the returned snapshot is complete.
+// drainSessions atomically empties the table, refuses every later
+// create, and returns the removed sessions.
 func (s *Server) drainSessions() []*session {
-	var all []*session
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, sess := range sh.sessions {
-			all = append(all, sess)
-		}
-		sh.sessions = make(map[string]*session)
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	all := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		all = append(all, sess)
 	}
+	clear(s.sessions)
 	return all
 }
 
-// nextPow2 rounds n up to a power of two (minimum 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
+// liveSessions reports how many sessions have a live worker.
+func (s *Server) liveSessions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions)
 }
 
 // SessionState is a session's placement state as the registry sees it.
@@ -101,21 +60,17 @@ const (
 // the owning node's advertised base URL. Local and suspended sessions
 // report this node's Advertise URL.
 func (s *Server) SessionState(id string) (SessionState, string) {
-	s.placeMu.Lock()
-	if owner, ok := s.remote[id]; ok {
-		s.placeMu.Unlock()
+	s.mu.Lock()
+	owner, remote := s.remote[id]
+	_, migrating := s.migrating[id]
+	_, live := s.sessions[id]
+	s.mu.Unlock()
+	switch {
+	case remote:
 		return StateRemote, owner
-	}
-	if _, ok := s.migrating[id]; ok {
-		s.placeMu.Unlock()
+	case migrating:
 		return StateMigrating, s.cfg.Advertise
-	}
-	s.placeMu.Unlock()
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	_, live := sh.sessions[id]
-	sh.mu.Unlock()
-	if live {
+	case live:
 		return StateLocal, s.cfg.Advertise
 	}
 	if s.store != nil && s.store.Exists(id) {
@@ -132,20 +87,19 @@ func (e *remoteError) Error() string {
 	return fmt.Sprintf("session migrated to %s", e.owner)
 }
 
-// placement returns id's migrating/remote markers in one lock hold.
-func (s *Server) placement(id string) (migrating bool, owner string, remote bool) {
-	s.placeMu.Lock()
-	defer s.placeMu.Unlock()
-	_, migrating = s.migrating[id]
-	owner, remote = s.remote[id]
-	return
+// isMigrating reports whether a migration claim on id is in flight.
+func (s *Server) isMigrating(id string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.migrating[id]
+	return ok
 }
 
 // markMigrating claims id for a migration. It fails if a migration is
 // already in flight or the session already moved away.
 func (s *Server) markMigrating(id string) error {
-	s.placeMu.Lock()
-	defer s.placeMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.migrating[id]; ok {
 		return errMigrating
 	}
@@ -159,36 +113,33 @@ func (s *Server) markMigrating(id string) error {
 // unmarkMigrating aborts a migration claim: the session falls back to
 // suspended and the next request revives it locally.
 func (s *Server) unmarkMigrating(id string) {
-	s.placeMu.Lock()
+	s.mu.Lock()
 	delete(s.migrating, id)
-	s.placeMu.Unlock()
+	s.mu.Unlock()
 }
 
 // completeMigration finishes a migration: the id stops being ours and
 // points at target ("" forgets the session entirely).
 func (s *Server) completeMigration(id, target string) {
-	s.placeMu.Lock()
+	s.mu.Lock()
 	delete(s.migrating, id)
 	if target != "" {
 		s.remote[id] = target
 	} else {
 		delete(s.remote, id)
 	}
-	s.placeMu.Unlock()
+	s.mu.Unlock()
 }
 
 func (s *Server) getSession(id string, create bool) (*session, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// The closed check must happen inside the shard critical section:
-	// Close stores the flag before draining the shards, so a create
-	// serialized after the store is refused here, and one serialized
-	// before it is already in the map when the drain takes this lock.
-	if s.closed.Load() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Close sets closed and drains the table in one critical section,
+	// so a create either lands before the drain or is refused here.
+	if s.closed {
 		return nil, errServerClosed
 	}
-	if sess, ok := sh.sessions[id]; ok {
+	if sess, ok := s.sessions[id]; ok {
 		return sess, nil
 	}
 	if !create {
@@ -198,22 +149,14 @@ func (s *Server) getSession(id string, create bool) (*session, error) {
 	// (its image is in flight), and one that moved away belongs to its
 	// new owner. Checked only on the create path — a live session
 	// always wins, and the migration path unlinks it first.
-	if mig, owner, rem := s.placement(id); mig {
+	if _, ok := s.migrating[id]; ok {
 		return nil, errMigrating
-	} else if rem {
+	}
+	if owner, ok := s.remote[id]; ok {
 		return nil, &remoteError{owner: owner}
 	}
-	// The session cap is global while the table lock is per-shard, so
-	// the cap is claimed by CAS on the active-session counter (which
-	// tracks total table population exactly).
-	for {
-		n := s.m.sessionsActive.Load()
-		if n >= int64(s.cfg.MaxSessions) {
-			return nil, errTooManySessions
-		}
-		if s.m.sessionsActive.CompareAndSwap(n, n+1) {
-			break
-		}
+	if len(s.sessions) >= s.cfg.MaxSessions {
+		return nil, errTooManySessions
 	}
 	sess := &session{
 		id:    id,
@@ -223,7 +166,7 @@ func (s *Server) getSession(id string, create bool) (*session, error) {
 		ready: make(chan struct{}),
 	}
 	sess.lastActive.Store(time.Now().UnixNano())
-	sh.sessions[id] = sess
+	s.sessions[id] = sess
 	s.m.sessionsTotal.Add(1)
 	go s.run(sess)
 	return sess, nil
@@ -234,15 +177,12 @@ func (s *Server) getSession(id string, create bool) (*session, error) {
 // clearing out a dead worker). It returns false if another goroutine
 // got there first.
 func (s *Server) unlinkSession(sess *session) bool {
-	sh := s.shardFor(sess.id)
-	sh.mu.Lock()
-	if sh.sessions[sess.id] != sess {
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sessions[sess.id] != sess {
 		return false
 	}
-	delete(sh.sessions, sess.id)
-	sh.mu.Unlock()
-	s.m.sessionsActive.Add(-1)
+	delete(s.sessions, sess.id)
 	return true
 }
 
@@ -340,7 +280,9 @@ func (sess *session) await(c chunk) (result, error) {
 // from memory. The next request for the id recovers transparently.
 func (s *Server) reap() {
 	defer s.reapWG.Done()
-	t := time.NewTicker(s.cfg.ReapInterval)
+	// A quarter of the idle timeout suspends a session within 1.25x
+	// IdleTimeout of its last request.
+	t := time.NewTicker(max(s.cfg.IdleTimeout/4, 10*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -349,16 +291,13 @@ func (s *Server) reap() {
 		case <-t.C:
 			cutoff := time.Now().Add(-s.cfg.IdleTimeout).UnixNano()
 			var idle []*session
-			for i := range s.shards {
-				sh := &s.shards[i]
-				sh.mu.Lock()
-				for _, sess := range sh.sessions {
-					if sess.lastActive.Load() < cutoff {
-						idle = append(idle, sess)
-					}
+			s.mu.Lock()
+			for _, sess := range s.sessions {
+				if sess.lastActive.Load() < cutoff {
+					idle = append(idle, sess)
 				}
-				sh.mu.Unlock()
 			}
+			s.mu.Unlock()
 			for _, sess := range idle {
 				if s.suspendSession(sess) {
 					s.m.reaped.Add(1)
@@ -395,21 +334,16 @@ type sessionEntry struct {
 func (s *Server) listSessions() []sessionEntry {
 	seen := make(map[string]bool)
 	var out []sessionEntry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, sess := range sh.sessions {
-			seen[id] = true
-			out = append(out, sessionEntry{
-				ID:    id,
-				State: string(StateLocal),
-				Seq:   sess.seq.Load(),
-				Owner: s.cfg.Advertise,
-			})
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	for id, sess := range s.sessions {
+		seen[id] = true
+		out = append(out, sessionEntry{
+			ID:    id,
+			State: string(StateLocal),
+			Seq:   sess.seq.Load(),
+			Owner: s.cfg.Advertise,
+		})
 	}
-	s.placeMu.Lock()
 	for id := range s.migrating {
 		if !seen[id] {
 			seen[id] = true
@@ -422,7 +356,7 @@ func (s *Server) listSessions() []sessionEntry {
 			out = append(out, sessionEntry{ID: id, State: string(StateRemote), Owner: owner})
 		}
 	}
-	s.placeMu.Unlock()
+	s.mu.Unlock()
 	if s.store != nil {
 		ids, err := s.store.List()
 		if err == nil {

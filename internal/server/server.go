@@ -23,7 +23,7 @@
 //
 //   - transport (transport.go) — HTTP handlers, chunk/content-type
 //     negotiation (decode.go), sequence headers, backpressure mapping.
-//   - registry (registry.go) — the sharded session table, session
+//   - registry (registry.go) — the session table under one lock, session
 //     lifecycle (local/suspended/migrating/remote), the idle reaper,
 //     and the one worker round-trip every request goes through.
 //   - engine (engine.go, engine_state.go) — the per-session worker
@@ -104,16 +104,9 @@ type Config struct {
 	CheckpointEvery int
 	// IdleTimeout suspends sessions idle longer than this: checkpoint,
 	// evict from memory, recover transparently on the next request.
-	// Zero disables the reaper; it requires DataDir.
+	// Zero disables the reaper; it requires DataDir. The reaper scans
+	// every IdleTimeout/4 (at least 10ms).
 	IdleTimeout time.Duration
-	// ReapInterval is how often the reaper scans for idle sessions
-	// (default IdleTimeout/4, at least 10ms).
-	ReapInterval time.Duration
-	// Shards is the number of lock stripes for the session table
-	// (default 16), rounded up to a power of two. Sessions hash to a
-	// shard by ID; sessions on different shards never contend on a
-	// table lock. 1 reproduces the old single-mutex behavior.
-	Shards int
 	// Advertise is this node's base URL as other cluster members reach
 	// it (e.g. "http://10.0.0.1:8080"). It labels locally-owned
 	// sessions in GET /v1/sessions and SessionState; empty
@@ -145,16 +138,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 64
 	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	c.Shards = nextPow2(c.Shards)
-	if c.ReapInterval <= 0 {
-		c.ReapInterval = c.IdleTimeout / 4
-		if c.ReapInterval < 10*time.Millisecond {
-			c.ReapInterval = 10 * time.Millisecond
-		}
-	}
 	return c
 }
 
@@ -167,17 +150,14 @@ type Server struct {
 	// replicaKey(origin, id) (replica_handlers.go); nil when ephemeral.
 	replicas *durable.Store
 
-	// shards stripes the session table by ID hash (registry.go);
-	// shardMask is len(shards)-1, a power-of-two mask.
-	shards    []shard
-	shardMask uint32
-	closed    atomic.Bool
-
-	// placeMu guards the placement maps: sessions this node no longer
-	// (remote) or temporarily doesn't (migrating) own. See registry.go.
-	placeMu   sync.Mutex
+	// mu guards the session table (registry.go): the live sessions,
+	// the placement markers for sessions this node no longer (remote)
+	// or temporarily doesn't (migrating) own, and the closed flag.
+	mu        sync.Mutex
+	sessions  map[string]*session
 	remote    map[string]string
 	migrating map[string]struct{}
+	closed    bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -207,18 +187,13 @@ type Server struct {
 // New returns a Server; use Handler to serve it.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		cfg:  cfg.withDefaults(),
-		mux:  http.NewServeMux(),
-		stop: make(chan struct{}),
+		cfg:       cfg.withDefaults(),
+		mux:       http.NewServeMux(),
+		stop:      make(chan struct{}),
+		sessions:  make(map[string]*session),
+		remote:    make(map[string]string),
+		migrating: make(map[string]struct{}),
 	}
-	s.shards = make([]shard, s.cfg.Shards)
-	s.shardMask = uint32(s.cfg.Shards - 1)
-	for i := range s.shards {
-		s.shards[i].sessions = make(map[string]*session)
-	}
-	s.remote = make(map[string]string)
-	s.migrating = make(map[string]struct{})
-	s.m.rings = make([]latencyRing, s.cfg.Shards)
 	if s.cfg.Successor != nil && (s.cfg.DataDir == "" || s.cfg.Advertise == "") {
 		return nil, errors.New("server: replication (Successor) requires DataDir and Advertise")
 	}
@@ -279,10 +254,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP handler for the server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// ShardCount reports the resolved number of session-table lock stripes
-// (Config.Shards after defaulting and power-of-two rounding).
-func (s *Server) ShardCount() int { return len(s.shards) }
-
 // Advertise returns this node's advertised base URL ("" single-node).
 func (s *Server) Advertise() string { return s.cfg.Advertise }
 
@@ -329,14 +300,9 @@ func (s *Server) Close() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.reapWG.Wait()
 	s.state.Store("shutting down")
-	// Store closed before draining: any create serialized after this
-	// point is refused inside its shard's critical section, and any
-	// create that got in first is visible to the drain.
-	s.closed.Store(true)
 	for _, sess := range s.drainSessions() {
 		sess.roundTrip(chunk{op: opSuspend})
 	}
-	s.m.sessionsActive.Store(0)
 	// Replication drains after the suspend pass so the final
 	// checkpoints reach the successors before the senders stop.
 	s.stopReplication(true)
@@ -349,7 +315,6 @@ func (s *Server) Close() {
 func (s *Server) Kill() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.reapWG.Wait()
-	s.closed.Store(true)
 	for _, sess := range s.drainSessions() {
 		sess.killOnce.Do(func() { close(sess.kill) })
 	}

@@ -268,10 +268,10 @@ func TestBackpressure429(t *testing.T) {
 	asyncPost() // worker picks this up and blocks in the hook
 	<-started
 	asyncPost() // sits in the queue (depth 1)
-	sh := s.shardFor("bp")
-	sh.mu.Lock()
-	sess := sh.sessions["bp"]
-	sh.mu.Unlock()
+	sess, err := s.getSession("bp", false)
+	if err != nil {
+		t.Fatalf("getSession: %v", err)
+	}
 	for len(sess.queue) == 0 {
 		runtime.Gosched()
 	}

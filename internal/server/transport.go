@@ -71,7 +71,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		if res.status == http.StatusOK && !res.replayed {
-			s.m.observeChunk(s.shardIndex(id), time.Since(start), n)
+			s.m.observeChunk(time.Since(start), n)
 		}
 		writeResult(w, res)
 	case errors.Is(err, errQueueFull):
@@ -118,7 +118,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, errSessionDown.Error())
 		return
 	}
-	s.m.observeChunk(s.shardIndex(id), time.Since(start), 0)
+	s.m.observeChunk(time.Since(start), 0)
 	writeResult(w, res)
 }
 
@@ -230,7 +230,7 @@ func (s *Server) retryHintMs() int64 {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.m.write(w)
+	s.m.write(w, s.liveSessions())
 	if s.cfg.Knowledge != nil {
 		st := s.cfg.Knowledge.Stats()
 		fmt.Fprintf(w, "# TYPE lpp_knowledge_entries gauge\n")
