@@ -1,7 +1,7 @@
 package reuse
 
 import (
-	"slices"
+	"bytes"
 	"testing"
 
 	"lpp/internal/trace"
@@ -9,27 +9,25 @@ import (
 
 // checkExactAgainstReference replays addrs through the analyzer and the
 // frozen four-walk reference, failing on the first access whose distance
-// differs. The Fenwick words and the logical clock are compared every
-// stateEvery accesses and at the end: the fused walks and the rank-scan
-// compaction must leave the tree exactly as the reference leaves it. It
-// returns the number of compactions the stream triggered.
+// differs. The distinct-element counts are compared every stateEvery
+// accesses and at the end. It returns the number of compactions the
+// stream triggered in the analyzer.
 func checkExactAgainstReference(t testing.TB, addrs []trace.Addr, stateEvery int) int {
 	t.Helper()
 	a, ref := NewAnalyzer(), newRefExact()
 	compactions := 0
 	for i, addr := range addrs {
-		before := ref.now
+		before := a.now
 		got, want := a.Access(addr), ref.Access(addr)
 		if got != want {
 			t.Fatalf("access %d (addr %#x): distance %d, reference %d", i, addr, got, want)
 		}
-		if ref.now <= before {
+		if a.now <= before {
 			compactions++
 		}
 		if (i+1)%stateEvery == 0 || i == len(addrs)-1 {
-			if a.now != ref.now || !slices.Equal(a.tree, ref.tree) {
-				t.Fatalf("access %d: tree or clock differs from reference (now %d vs %d, %d vs %d words)",
-					i, a.now, ref.now, len(a.tree), len(ref.tree))
+			if a.Distinct() != ref.last.Len() {
+				t.Fatalf("access %d: %d distinct elements, reference %d", i, a.Distinct(), ref.last.Len())
 			}
 		}
 	}
@@ -67,6 +65,18 @@ func FuzzAnalyzerMatchesReference(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(64))
 	f.Add([]byte{0xe0, 0x81, 0xb3, 0xf0, 0x10, 0x90, 0xa7}, uint8(200))
 	f.Add([]byte{0x80}, uint8(0))
+	// A hot set of four: nearly every reuse finds prev in the open block.
+	f.Add([]byte{0, 1, 2, 3}, uint8(3))
+	// A 512-address scan, then a reuse of its last address: the first
+	// reuse lands on t = 512, the first block boundary, with prev in
+	// the block just closed.
+	f.Add([]byte{199, 0x80}, uint8(0))
+	// 16384 fresh addresses, then immediate reuses up to t = 65536: the
+	// first compaction finds the live set at exactly a quarter of the
+	// 65536-slot bitmap.
+	f.Add(append(bytes.Repeat([]byte{0xff}, 4), bytes.Repeat([]byte{0x80}, 65536-16384)...), uint8(0))
+	// Nothing but cold scans: every compaction grows the bitmap.
+	f.Add([]byte{0xff}, uint8(0))
 	f.Fuzz(func(t *testing.T, pattern []byte, hot uint8) {
 		if len(pattern) == 0 {
 			return

@@ -1,6 +1,7 @@
 package reuse
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -77,7 +78,7 @@ func TestAnalyzerMatchesNaive(t *testing.T) {
 }
 
 func TestAnalyzerCompaction(t *testing.T) {
-	// Drive far past the initial tree capacity to force compactions,
+	// Drive far past the initial bitmap capacity to force compactions,
 	// checking against the naive stack with a small working set.
 	a := NewAnalyzer()
 	n := &naive{}
@@ -93,7 +94,7 @@ func TestAnalyzerCompaction(t *testing.T) {
 }
 
 func TestAnalyzerCompactionLargeWorkingSet(t *testing.T) {
-	// Working set larger than the initial tree, cyclic pattern:
+	// Working set larger than the initial bitmap, cyclic pattern:
 	// after warmup every access to the cycle has distance N-1.
 	a := NewAnalyzer()
 	const n = 1 << 17
@@ -205,27 +206,36 @@ func BenchmarkAnalyzerAccess(b *testing.B) {
 }
 
 // BenchmarkAnalyzerTrainTrace runs the exact analyzer over the recorded
-// tomcatv Train address stream, the way Detect's sampling pass does,
-// and reports ns per access. Unlike BenchmarkAnalyzerAccess (uniform
-// random addresses) this keeps the live set, the reuse-distance mix
-// and so the walk heights and compaction rate at a real program's.
+// Train address stream of each offline-pipeline kernel, the way
+// Detect's split pass does (prefetching prefetchAhead accesses ahead),
+// and reports ns per access. Unlike
+// BenchmarkAnalyzerAccess (uniform random addresses) this keeps the
+// live set, the reuse-distance mix and so the walk heights and
+// compaction rate at a real program's.
 func BenchmarkAnalyzerTrainTrace(b *testing.B) {
-	addrs := trainAccesses(b, "tomcatv")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := NewAnalyzer()
-		for _, addr := range addrs {
-			a.Access(addr)
-		}
+	for _, name := range []string{"tomcatv", "swim", "fft", "mesh"} {
+		b.Run(name, func(b *testing.B) {
+			addrs := trainAccesses(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a := NewAnalyzer()
+				for j, addr := range addrs {
+					if k := j + prefetchAhead; k < len(addrs) {
+						a.Prefetch(addrs[k])
+					}
+					a.Access(addr)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(addrs)), "ns/access")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(addrs)), "ns/access")
 }
 
-// BenchmarkAnalyzerCompact pins the periodic tree rebuild: a live set
-// of 32K elements is remapped and the Fenwick tree reconstructed on
-// every iteration, the way the Access hot loop triggers it once per
-// O(tree size) accesses.
+// BenchmarkAnalyzerCompact pins the periodic rebuild: a live set of
+// 32K elements is remapped and the bitmap and block tree reconstructed
+// on every iteration, the way the Access hot loop triggers it once per
+// O(bitmap size) accesses.
 func BenchmarkAnalyzerCompact(b *testing.B) {
 	a := NewAnalyzer()
 	for i := 0; i < 1<<15; i++ {
@@ -238,7 +248,7 @@ func BenchmarkAnalyzerCompact(b *testing.B) {
 	}
 }
 
-// TestCompactSteadyStateAllocs: once the tree has reached the live
+// TestCompactSteadyStateAllocs: once the bitmap has reached the live
 // set's size, a compaction must not allocate — the Access hot loop's
 // amortized allocation rate depends on it.
 func TestCompactSteadyStateAllocs(t *testing.T) {
@@ -247,7 +257,7 @@ func TestCompactSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 1<<14; i++ {
 		a.Access(trace.Addr(rng.Intn(1 << 12)))
 	}
-	a.compact() // grow the tree to the live set
+	a.compact() // grow the bitmap to the live set
 	if allocs := testing.AllocsPerRun(10, func() { a.compact() }); allocs > 0 {
 		t.Errorf("steady-state compact allocates %.1f objects per run, want 0", allocs)
 	}
@@ -272,6 +282,27 @@ func TestCompactPreservesDistances(t *testing.T) {
 			t.Fatalf("access %d (%#x): distance %d after compaction, want %d", i, addr, got, want)
 		}
 	}
+}
+
+// TestNewAnalyzerSmall: a fresh analyzer allocates at most 16 KB (an
+// 8 KB bitmap, its block tree and a small index), so that the many
+// short-lived analyzers of a split pass or a fuzz run cost little to
+// create; its structures grow with the live set instead.
+func TestNewAnalyzerSmall(t *testing.T) {
+	const n, limit = 16, 16 << 10
+	keep := make([]*Analyzer, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewAnalyzer()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("NewAnalyzer allocates %d bytes", per)
+	if per > limit {
+		t.Errorf("NewAnalyzer allocates %d bytes, want at most %d", per, limit)
+	}
+	runtime.KeepAlive(keep)
 }
 
 // TestAnalyzerAccessZeroAllocs pins the exact analyzer's hot loop at

@@ -17,6 +17,11 @@ const minSegment = 1 << 15
 // between announcements of its progress to the caller.
 const publishEvery = 1 << 14
 
+// prefetchAhead is how many accesses ahead analyze prefetches the
+// analyzer's last-access slot: far enough that the load lands before
+// Access probes it, near enough that it is not evicted again first.
+const prefetchAhead = 8
+
 // SplitDistances measures the exact reuse distance of every access —
 // each equal to what one Analyzer reports over the whole slice — on up
 // to k segments of at least minSegment accesses, one goroutine each,
@@ -118,6 +123,9 @@ func (s *split) analyze(lo, hi int, in <-chan []int, out chan<- []int) {
 	for c := lo; c < hi; c += publishEvery {
 		end := min(c+publishEvery, hi)
 		for i, a := range s.accesses[c:end] {
+			if j := c + i + prefetchAhead; j < hi {
+				an.Prefetch(s.accesses[j])
+			}
 			dist := an.Access(a)
 			s.dists[c+i] = dist
 			if dist == Infinite && out != nil {
@@ -129,9 +137,13 @@ func (s *split) analyze(lo, hi int, in <-chan []int, out chan<- []int) {
 		}
 	}
 	if in != nil {
-		for n, i := range <-in {
+		list := <-in
+		for n, i := range list {
 			if out == nil && n%publishEvery == 0 {
 				s.publish(i)
+			}
+			if j := n + prefetchAhead; j < len(list) {
+				an.Prefetch(s.accesses[list[j]])
 			}
 			if dist := an.Access(s.accesses[i]); dist != Infinite {
 				s.dists[i] = dist

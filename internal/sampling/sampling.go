@@ -194,11 +194,19 @@ func (s *sampler) result() Result {
 func RunTrace(accesses []trace.Addr, cfg Config) Result {
 	s := newSampler(cfg, len(accesses))
 	an := reuse.NewAnalyzer()
-	for _, a := range accesses {
+	for i, a := range accesses {
+		if j := i + prefetchAhead; j < len(accesses) {
+			an.Prefetch(accesses[j])
+		}
 		s.access(a, an.Access(a))
 	}
 	return s.result()
 }
+
+// prefetchAhead is how many accesses ahead RunTrace prefetches: far
+// enough that the load lands before Access probes the slot, near enough
+// that it is not evicted again first.
+const prefetchAhead = 8
 
 // RunTraceSplit is RunTrace with the exact reuse-distance pass split
 // across up to workers analyzers (reuse.SplitDistances), bit-identical

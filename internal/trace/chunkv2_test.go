@@ -175,7 +175,9 @@ func TestChunkV2EncodeRejectsWideInstrs(t *testing.T) {
 	if math.MaxInt <= math.MaxInt32 {
 		t.Skip("int is 32-bit; oversized instrs are unrepresentable")
 	}
-	_, err := AppendChunkV2(nil, []Event{{Kind: EventBlock, Block: 1, Instrs: math.MaxInt32 + 1}})
+	wide := int(math.MaxInt32)
+	wide++ // built at run time: the constant overflows a 32-bit int
+	_, err := AppendChunkV2(nil, []Event{{Kind: EventBlock, Block: 1, Instrs: wide}})
 	if err == nil {
 		t.Fatal("instrs beyond int32 accepted")
 	}
@@ -203,12 +205,17 @@ func TestColumnsAppendEvent(t *testing.T) {
 		"extremes":      chunkCases()["extremes"],
 		"accesses_only": accesses,
 		"blocks_only":   blocks,
-		"wide_instrs": {
-			{Kind: EventBlock, Block: 1, Instrs: math.MaxInt32 + 1},
+	}
+	// Instruction counts past int32 exist only where int is 64-bit.
+	if math.MaxInt > math.MaxInt32 {
+		wide := int(math.MaxInt32)
+		wide++
+		cases["wide_instrs"] = []Event{
+			{Kind: EventBlock, Block: 1, Instrs: wide},
 			{Kind: EventAccess, Addr: 8},
 			{Kind: EventBlock, Block: 2, Instrs: math.MaxInt},
 			{Kind: EventBlock, Block: 3, Instrs: -1},
-		},
+		}
 	}
 	// Every case reuses one Columns that last held a dense all-blocks
 	// chunk, so a kind bit surviving Reset would turn an access into a
