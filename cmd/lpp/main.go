@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"lpp/internal/core"
@@ -37,7 +36,6 @@ func main() {
 		saveProf = flag.String("save", "", "write the detection profile to this file")
 		loadProf = flag.String("load", "", "skip detection; load a profile written by -save")
 		subph    = flag.Bool("subphases", false, "refine detected phases with a smaller threshold")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "detection worker-pool size; 1 = strictly sequential (results are identical at any setting)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		cons     = flag.String("consumers", "", "drive run-time consumers from the prediction run's phase events (comma-separated: predictor[:strict|:relaxed], cacheresize, dvfs, remap)")
@@ -99,9 +97,7 @@ func main() {
 			*loadProf, det.Selection.PhaseCount, det.Hierarchy)
 	} else {
 		fmt.Printf("detecting phases of %s (N=%d, steps=%d)...\n", spec.Name, train.N, train.Steps)
-		cfg := core.DefaultConfig()
-		cfg.Workers = *jobs
-		det, err = core.Detect(spec.Make(train), cfg)
+		det, err = core.Detect(spec.Make(train), core.DefaultConfig())
 		if err != nil {
 			fatal(err)
 		}

@@ -50,7 +50,6 @@ func run(args []string, stdout io.Writer) error {
 		quick    = fs.Bool("quick", false, "shrink inputs for a fast run")
 		out      = fs.String("out", "", "directory for CSV/SVG artifacts")
 		list     = fs.Bool("list", false, "list experiments and exit")
-		jobs     = fs.Int("j", runtime.GOMAXPROCS(0), "analysis worker-pool size; 1 = strictly sequential (output is identical at any setting)")
 		html     = fs.String("html", "", "write a self-contained HTML report to this file (needs -out)")
 		warm     = fs.Bool("warmstart", false, "benchmark knowledge-store warm starts on the golden workloads (writes BENCH_warmstart.json)")
 		chunkLen = fs.Int("chunk", 16384, "events per chunk for -cluster")
@@ -66,9 +65,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	if *jobs < 1 {
-		*jobs = 1
 	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
@@ -113,7 +109,6 @@ func run(args []string, stdout io.Writer) error {
 	opts := experiments.Options{
 		Quick:  *quick,
 		OutDir: *out,
-		Jobs:   *jobs,
 		Cache:  experiments.NewCache(),
 	}
 
@@ -137,12 +132,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// The report itself is deterministic and ordered; timing goes to
-	// stderr so stdout is byte-identical at every -j.
+	// stderr so stdout is byte-identical at every GOMAXPROCS.
 	start := time.Now()
 	if err := experiments.RunReport(stdout, exps, opts); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "lppbench: %d experiments in %v (-j %d)\n",
-		len(exps), time.Since(start).Round(time.Millisecond), *jobs)
+	fmt.Fprintf(os.Stderr, "lppbench: %d experiments in %v (GOMAXPROCS %d)\n",
+		len(exps), time.Since(start).Round(time.Millisecond), runtime.GOMAXPROCS(0))
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -43,14 +44,23 @@ func TestListNamesEveryExperiment(t *testing.T) {
 	}
 }
 
+// TestReportIdenticalAcrossJobs: GOMAXPROCS is the only worker count,
+// the report is the same at 1 and 2, and the removed -j flag fails
+// flag parsing.
 func TestReportIdenticalAcrossJobs(t *testing.T) {
-	seq := runOK(t, "-exp", "table1", "-quick", "-j", "1")
-	par := runOK(t, "-exp", "table1", "-quick", "-j", "2")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	seq := runOK(t, "-exp", "table1", "-quick")
+	runtime.GOMAXPROCS(2)
+	par := runOK(t, "-exp", "table1", "-quick")
 	if seq == "" {
 		t.Fatal("empty report")
 	}
 	if seq != par {
-		t.Errorf("-j 2 report differs from -j 1:\n--- -j 1\n%s\n--- -j 2\n%s", seq, par)
+		t.Errorf("GOMAXPROCS 2 report differs from 1:\n--- 1\n%s\n--- 2\n%s", seq, par)
+	}
+	err := run([]string{"-exp", "table1", "-quick", "-j", "2"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -j") {
+		t.Errorf("-j 2: err = %v, want an undefined-flag error", err)
 	}
 }
 

@@ -10,6 +10,7 @@ package adapt
 
 import (
 	"lpp/internal/cache"
+	"lpp/internal/codec"
 	"lpp/internal/interval"
 )
 
@@ -43,74 +44,137 @@ type Result struct {
 
 const bytesPerAssoc = cache.DefaultSets << cache.DefaultBlockBits // 32KB
 
-// score folds the per-window assigned associativities into a Result.
-// Exploration trial windows count toward the average size but not the
-// steady-state miss accounting.
-func score(wins []interval.Window, assigned []int, explore []bool) Result {
-	var bytesSum, lenSum float64
-	var misses, fullMisses float64
-	for i, w := range wins {
-		l := float64(w.Len())
-		bytesSum += float64(assigned[i]*bytesPerAssoc) * l
-		lenSum += l
-		if explore != nil && explore[i] {
-			continue
-		}
-		misses += w.Loc.MissAt(assigned[i]) * l
-		fullMisses += w.Loc.MissAt(cache.MaxAssoc) * l
+// tally folds the sizes a method assigns, window by window in order,
+// into a Result. Exploration trial windows count toward the average
+// size but not the steady-state miss accounting.
+type tally struct {
+	bytesSum, lenSum   float64
+	misses, fullMisses float64
+}
+
+// add scores a window of l accesses with locality loc run at assoc.
+func (t *tally) add(assoc int, l float64, loc cache.Vector, explore bool) {
+	t.bytesSum += float64(assoc*bytesPerAssoc) * l
+	t.lenSum += l
+	if explore {
+		return
 	}
-	r := Result{}
-	if lenSum > 0 {
-		r.AvgBytes = bytesSum / lenSum
+	t.misses += loc.MissAt(assoc) * l
+	t.fullMisses += loc.MissAt(cache.MaxAssoc) * l
+}
+
+func (t *tally) result(explorations int) Result {
+	r := Result{Explorations: explorations}
+	if t.lenSum > 0 {
+		r.AvgBytes = t.bytesSum / t.lenSum
 	}
-	if fullMisses > 0 {
-		r.MissIncrease = misses/fullMisses - 1
+	if t.fullMisses > 0 {
+		r.MissIncrease = t.misses/t.fullMisses - 1
 	}
 	return r
 }
 
-// exploreRuns is the paper's exploration cost: one window at full
+// exploreSizes is the paper's exploration cost: one window at full
 // size, one at half size.
 var exploreSizes = []int{cache.MaxAssoc, cache.MaxAssoc / 2}
 
-// GroupedMethod resizes with a behavior label per window (phase IDs
-// for the phase method, cluster IDs for the BBV method): the first two
-// windows of each label are exploration trials; afterwards the label's
-// learned size — the largest best-size seen during its exploration —
-// is reused for every later window of that label.
+// Resizer applies the grouped learn-then-reuse policy one window at a
+// time, with a behavior label per window (phase IDs for the phase
+// method, cluster IDs for the BBV method): the first two windows of
+// each label are exploration trials (full size, then half size);
+// afterwards the label's learned size — the largest best size seen
+// during its exploration — is reused for every later window of that
+// label. GroupedMethod is a loop over it, and phase.CacheResizer
+// feeds it one boundary event at a time.
+type Resizer struct {
+	bound        float64
+	groups       map[int]*resizeGroup
+	explorations int
+	t            tally
+}
+
+type resizeGroup struct{ seen, learned int }
+
+// NewResizer returns a resizer that accepts at most bound relative
+// miss increase over the full 256KB cache.
+func NewResizer(bound float64) *Resizer {
+	return &Resizer{bound: bound, groups: make(map[int]*resizeGroup)}
+}
+
+// Bound returns the resizer's miss-increase budget.
+func (r *Resizer) Bound() float64 { return r.bound }
+
+// Step runs one window of length accesses with locality loc under the
+// given label.
+func (r *Resizer) Step(label int, length int64, loc cache.Vector) {
+	g := r.groups[label]
+	if g == nil {
+		g = &resizeGroup{}
+		r.groups[label] = g
+		r.explorations++
+	}
+	l := float64(length)
+	if g.seen < len(exploreSizes) {
+		r.t.add(exploreSizes[g.seen], l, loc, true)
+		if b := BestAssoc(loc, r.bound); b > g.learned {
+			g.learned = b
+		}
+		g.seen++
+		return
+	}
+	r.t.add(g.learned, l, loc, false)
+}
+
+// Result summarizes the windows stepped so far.
+func (r *Resizer) Result() Result { return r.t.result(r.explorations) }
+
+// Encode appends the resizer's state: the exploration count, the
+// accumulators, then each label's seen count and learned size in
+// ascending label order.
+func (r *Resizer) Encode(e *codec.Enc) {
+	e.Num(r.explorations)
+	e.F64(r.t.bytesSum)
+	e.F64(r.t.lenSum)
+	e.F64(r.t.misses)
+	e.F64(r.t.fullMisses)
+	e.Num(len(r.groups))
+	for _, label := range codec.SortedKeys(r.groups) {
+		g := r.groups[label]
+		e.Num(label)
+		e.Num(g.seen)
+		e.Num(g.learned)
+	}
+}
+
+// Decode returns a resizer with r's bound and the state Encode wrote.
+// On a decode error the state is partial: callers keep the result only
+// if d.Done() succeeds.
+func (r *Resizer) Decode(d *codec.Dec) *Resizer {
+	out := &Resizer{bound: r.bound}
+	out.explorations = d.Num()
+	out.t.bytesSum = d.F64()
+	out.t.lenSum = d.F64()
+	out.t.misses = d.F64()
+	out.t.fullMisses = d.F64()
+	n := d.Length(3)
+	out.groups = make(map[int]*resizeGroup, n)
+	for i, label := 0, 0; i < n && d.Err() == nil; i++ {
+		label = d.Key(i, label)
+		out.groups[label] = &resizeGroup{seen: d.Num(), learned: d.Num()}
+	}
+	return out
+}
+
+// GroupedMethod resizes a labeled window sequence with a Resizer.
 func GroupedMethod(labels []int, wins []interval.Window, bound float64) Result {
 	if len(labels) != len(wins) {
 		panic("adapt: labels/windows length mismatch")
 	}
-	type state struct {
-		seen    int
-		learned int
-	}
-	groups := make(map[int]*state)
-	assigned := make([]int, len(wins))
-	explore := make([]bool, len(wins))
-	explorations := 0
+	r := NewResizer(bound)
 	for i, w := range wins {
-		g := groups[labels[i]]
-		if g == nil {
-			g = &state{}
-			groups[labels[i]] = g
-			explorations++
-		}
-		if g.seen < len(exploreSizes) {
-			assigned[i] = exploreSizes[g.seen]
-			explore[i] = true
-			if b := BestAssoc(w.Loc, bound); b > g.learned {
-				g.learned = b
-			}
-			g.seen++
-			continue
-		}
-		assigned[i] = g.learned
+		r.Step(labels[i], int64(w.Len()), w.Loc)
 	}
-	r := score(wins, assigned, explore)
-	r.Explorations = explorations
-	return r
+	return r.Result()
 }
 
 // IntervalMethod resizes with fixed windows and the paper's idealized
@@ -119,8 +183,7 @@ func GroupedMethod(labels []int, wins []interval.Window, bound float64) Result {
 // two exploration windows per change, then the best size until the
 // next change.
 func IntervalMethod(wins []interval.Window, bound float64) Result {
-	assigned := make([]int, len(wins))
-	explore := make([]bool, len(wins))
+	var t tally
 	explorations := 0
 	i := 0
 	cur := -1
@@ -129,9 +192,8 @@ func IntervalMethod(wins []interval.Window, bound float64) Result {
 		if best != cur {
 			// Phase change: explore.
 			explorations++
-			for t := 0; t < len(exploreSizes) && i < len(wins); t++ {
-				assigned[i] = exploreSizes[t]
-				explore[i] = true
+			for k := 0; k < len(exploreSizes) && i < len(wins); k++ {
+				t.add(exploreSizes[k], float64(wins[i].Len()), wins[i].Loc, true)
 				i++
 			}
 			if i < len(wins) {
@@ -139,21 +201,19 @@ func IntervalMethod(wins []interval.Window, bound float64) Result {
 			}
 			continue
 		}
-		assigned[i] = cur
+		t.add(cur, float64(wins[i].Len()), wins[i].Loc, false)
 		i++
 	}
-	r := score(wins, assigned, explore)
-	r.Explorations = explorations
-	return r
+	return t.result(explorations)
 }
 
 // FullSize returns the no-adaptation baseline: every window at 256KB.
 func FullSize(wins []interval.Window) Result {
-	assigned := make([]int, len(wins))
-	for i := range assigned {
-		assigned[i] = cache.MaxAssoc
+	var t tally
+	for _, w := range wins {
+		t.add(cache.MaxAssoc, float64(w.Len()), w.Loc, false)
 	}
-	return score(wins, assigned, nil)
+	return t.result(0)
 }
 
 // ClassPredictor is a next-window class predictor (interval.LastValue,
@@ -170,29 +230,21 @@ type ClassPredictor interface {
 // real misses — the steady-state miss accounting includes every
 // window, since there is no separate exploration here.
 func IntervalMethodPredicted(wins []interval.Window, bound float64, pred ClassPredictor) Result {
-	assigned := make([]int, len(wins))
+	var t tally
 	mispredictions := 0
-	for i, w := range wins {
+	for _, w := range wins {
 		best := BestAssoc(w.Loc, bound)
+		assoc := cache.MaxAssoc
 		if forecast, ok := pred.Predict(); ok {
 			// Clamp defensively: classes fed in are 1..MaxAssoc,
 			// but the predictor is caller-supplied.
-			if forecast < 1 {
-				forecast = 1
-			}
-			if forecast > cache.MaxAssoc {
-				forecast = cache.MaxAssoc
-			}
-			assigned[i] = forecast
-			if forecast != best {
+			assoc = min(max(forecast, 1), cache.MaxAssoc)
+			if assoc != best {
 				mispredictions++
 			}
-		} else {
-			assigned[i] = cache.MaxAssoc
 		}
+		t.add(assoc, float64(w.Len()), w.Loc, false)
 		pred.Observe(best)
 	}
-	r := score(wins, assigned, nil)
-	r.Explorations = mispredictions
-	return r
+	return t.result(mispredictions)
 }

@@ -133,7 +133,8 @@ func TestFullSize(t *testing.T) {
 }
 
 func TestScoreEmpty(t *testing.T) {
-	r := score(nil, nil, nil)
+	var tl tally
+	r := tl.result(0)
 	if r.AvgBytes != 0 || r.MissIncrease != 0 {
 		t.Errorf("empty score = %+v", r)
 	}

@@ -48,24 +48,6 @@ type Config struct {
 	// programs whose phase lengths cannot be predicted. The detected
 	// phases are then typically flagged inconsistent.
 	KeepIrregular bool
-	// Workers bounds the goroutines Detect and DetectTrace may use:
-	// the exact reuse-distance pass is split across Workers analyzers
-	// (traces too short to split stay on one) with the sampler
-	// trailing them, and the per-data-sample wavelet filtering fans out
-	// across as many goroutines. 0 means GOMAXPROCS; 1 forces the
-	// strictly sequential path. The predicted runs (Predict,
-	// PredictAll, PredictAllWith, PredictStatistical) take no Config:
-	// they always pipeline the marked run with its cache simulation.
-	// Every output is bit-identical at every setting.
-	Workers int
-}
-
-// workers resolves Config.Workers to a concrete pool size.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // DefaultConfig returns the paper's settings. The marker blank-region
@@ -129,26 +111,24 @@ func Detect(prog trace.Runner, cfg Config) (*Detection, error) {
 
 // DetectTrace runs the off-line analysis over an already-recorded
 // training trace — e.g. one captured to a file with trace.Writer and
-// replayed with trace.ReadFile. With more than one worker configured
-// (the default resolves to GOMAXPROCS), the exact reuse-distance pass,
-// the expensive and otherwise strictly sequential part of sampling, is
-// split across that many analyzers (reuse.SplitDistances), and the
+// replayed with trace.ReadFile. It uses GOMAXPROCS workers: the exact
+// reuse-distance pass, the expensive and otherwise strictly sequential
+// part of sampling, is split across that many analyzers
+// (reuse.SplitDistances; traces too short to split stay on one), the
 // sampler's threshold feedback, which needs only the trace length for
 // pacing, replays each finished prefix of distances while the
-// analyzers still run. The result is bit-identical to the sequential
-// path that Workers: 1 takes.
+// analyzers still run, and the per-data-sample wavelet filtering fans
+// out across as many goroutines. The result is bit-identical to the
+// sequential sampling.RunTrace at every GOMAXPROCS. The predicted runs
+// (Predict, PredictAll, PredictAllWith, PredictStatistical) always
+// pipeline the marked run with its cache simulation.
 func DetectTrace(t *trace.Recorded, cfg Config) (*Detection, error) {
 	cfg, scfg, err := normalizeConfig(t, cfg)
 	if err != nil {
 		return nil, err
 	}
 	// Step 1: variable-distance sampling of the reuse trace.
-	var res sampling.Result
-	if w := cfg.workers(); w > 1 {
-		res = sampling.RunTraceSplit(t.Accesses, w, scfg)
-	} else {
-		res = sampling.RunTrace(t.Accesses, scfg)
-	}
+	res := sampling.RunTraceSplit(t.Accesses, runtime.GOMAXPROCS(0), scfg)
 	return finishDetection(t, cfg, res)
 }
 
@@ -206,7 +186,7 @@ func normalizeConfig(t *trace.Recorded, cfg Config) (Config, sampling.Config, er
 // consistency — over a completed sampling result.
 func finishDetection(t *trace.Recorded, cfg Config, res sampling.Result) (*Detection, error) {
 	// Step 2: wavelet filtering of each data sample's sub-trace.
-	filtered := filterSamples(res, cfg.Wavelet, cfg.MinSubTrace, cfg.KeepIrregular, cfg.workers())
+	filtered := filterSamples(res, cfg.Wavelet, cfg.MinSubTrace, cfg.KeepIrregular, runtime.GOMAXPROCS(0))
 
 	// Step 3: optimal phase partitioning of the filtered trace.
 	ids := make([]int, len(filtered))

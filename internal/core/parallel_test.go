@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"lpp/internal/reuse"
@@ -11,33 +12,27 @@ import (
 )
 
 // TestDetectParallelMatchesSequential: the pipelined, fanned-out
-// detection (Workers > 1) must produce a Detection deeply equal to the
-// strictly sequential path, across every benchmark in the suite —
-// including the irregular ones. This is the concurrency regression
-// test the -j experiments mode relies on.
+// detection at GOMAXPROCS 2 to 4 must produce a Detection deeply equal
+// to the one-worker run at GOMAXPROCS 1, across every benchmark in the
+// suite — including the irregular ones.
 func TestDetectParallelMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, spec := range workload.All() {
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			train := quickTrain(spec)
-			seqCfg := DefaultConfig()
-			seqCfg.Workers = 1
-			want, err := Detect(spec.Make(train), seqCfg)
+			runtime.GOMAXPROCS(1)
+			want, err := Detect(spec.Make(train), DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 3, 4} {
-				parCfg := DefaultConfig()
-				parCfg.Workers = workers
-				got, err := Detect(spec.Make(train), parCfg)
+			for _, procs := range []int{2, 3, 4} {
+				runtime.GOMAXPROCS(procs)
+				got, err := Detect(spec.Make(train), DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The config records the worker count; everything
-				// else must match bit for bit.
-				got.Config.Workers = want.Config.Workers
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("workers=%d: detection diverges from sequential path", workers)
+					t.Errorf("GOMAXPROCS=%d: detection diverges from GOMAXPROCS=1", procs)
 				}
 			}
 		})
@@ -86,8 +81,8 @@ func quickTrain(spec workload.Spec) workload.Params {
 }
 
 // TestSplitDistancesMatchDirectAnalysis: the split reuse-distance pass
-// Detect runs with more than one worker must reproduce one analyzer's
-// distance stream, including a ragged last segment that an even split
+// Detect runs must reproduce one analyzer's distance stream at any
+// worker count, including a ragged last segment that an even split
 // leaves shorter or longer than the rest.
 func TestSplitDistancesMatchDirectAnalysis(t *testing.T) {
 	rng := stats.NewRNG(17)
@@ -103,7 +98,7 @@ func TestSplitDistancesMatchDirectAnalysis(t *testing.T) {
 		want[i] = an.Access(a)
 	}
 
-	for _, workers := range []int{2, 3, 4} {
+	for _, workers := range []int{1, 2, 3, 4} {
 		got := reuse.SplitDistances(addrs, workers, func(int, []int64) {})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: split distance stream diverges from direct analysis", workers)

@@ -53,20 +53,11 @@ func (c *Cache) get(spec workload.Spec, compute func() (*analysis, error)) (*ana
 	return e.a, e.err
 }
 
-// jobs resolves Options.Jobs to a concrete pool size.
-func (o Options) jobs() int {
-	if o.Jobs > 0 {
-		return o.Jobs
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Prewarm analyzes the given workloads concurrently under a bounded
-// worker pool of o.jobs() workers, filling o.Cache so that subsequent
-// experiments hit memoized analyses. Each workload's training trace is
-// replayed exactly once per report run. With Jobs == 1 the workloads
-// are analyzed strictly sequentially (and detection itself runs its
-// sequential path), so a -j 1 run is a true serial baseline.
+// worker pool of GOMAXPROCS workers, filling o.Cache so that
+// subsequent experiments hit memoized analyses. Each workload's
+// training trace is replayed exactly once per report run. At
+// GOMAXPROCS 1 the workloads are analyzed one after another.
 //
 // The first error encountered is returned, but every in-flight
 // analysis is allowed to finish so the cache is never half-built.
@@ -74,13 +65,7 @@ func (o Options) Prewarm(specs []workload.Spec) error {
 	if o.Cache == nil {
 		return nil
 	}
-	workers := o.jobs()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(runtime.GOMAXPROCS(0), len(specs)), 1)
 	jobs := make(chan workload.Spec)
 	errs := make(chan error, len(specs))
 	var wg sync.WaitGroup

@@ -30,12 +30,6 @@ type Options struct {
 	Quick bool
 	// OutDir, when non-empty, receives CSV artifacts.
 	OutDir string
-	// Jobs bounds the analysis worker pool: Prewarm analyzes up to
-	// Jobs workloads concurrently, and each detection's internal
-	// pipeline uses up to Jobs workers. 0 means GOMAXPROCS; 1 is the
-	// strictly sequential baseline. Report output is byte-identical
-	// at every setting.
-	Jobs int
 	// Cache, when non-nil, memoizes per-workload analyses so each
 	// workload's training trace is replayed once per report run and
 	// shared by every table and figure (see NewCache).
@@ -157,9 +151,7 @@ func (o Options) analyze(spec workload.Spec) (*analysis, error) {
 
 func (o Options) analyzeUncached(spec workload.Spec) (*analysis, error) {
 	train, ref := o.params(spec)
-	cfg := core.DefaultConfig()
-	cfg.Workers = o.jobs()
-	det, err := core.Detect(spec.Make(train), cfg)
+	det, err := core.Detect(spec.Make(train), core.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("%s: detect: %w", spec.Name, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -11,13 +12,14 @@ import (
 )
 
 // reportBytes runs the full paper report (all tables and figures) at
-// the given job count with a fresh cache, returning the report text
-// and every CSV artifact, keyed by file name.
-func reportBytes(t *testing.T, jobs int) ([]byte, map[string][]byte) {
+// GOMAXPROCS procs with a fresh cache, returning the report text and
+// every CSV artifact, keyed by file name.
+func reportBytes(t *testing.T, procs int) ([]byte, map[string][]byte) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	o := Options{Quick: true, OutDir: dir, Jobs: jobs, Cache: NewCache()}
+	o := Options{Quick: true, OutDir: dir, Cache: NewCache()}
 	if err := RunReport(&buf, All(), o); err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +38,9 @@ func reportBytes(t *testing.T, jobs int) ([]byte, map[string][]byte) {
 	return buf.Bytes(), artifacts
 }
 
-// TestReportParityAcrossJobs: the nine-workload report at -j N must be
-// byte-identical to -j 1 — same report text, same CSV/SVG artifacts.
+// TestReportParityAcrossJobs: the nine-workload report at GOMAXPROCS 4
+// must be byte-identical to GOMAXPROCS 1 — same report text, same
+// CSV/SVG artifacts.
 // Combined with TestDetectParallelMatchesSequential this pins the
 // whole parallel offline pipeline to the sequential semantics. Run
 // under -race in CI to double as a data-race check on the shared
@@ -50,7 +53,7 @@ func TestReportParityAcrossJobs(t *testing.T) {
 	parallel, parallelArtifacts := reportBytes(t, 4)
 
 	if !bytes.Equal(serial, parallel) {
-		t.Errorf("report text differs between -j 1 and -j 4:\n-- j1 --\n%s\n-- j4 --\n%s",
+		t.Errorf("report text differs between GOMAXPROCS 1 and 4:\n-- 1 --\n%s\n-- 4 --\n%s",
 			firstDiffContext(serial, parallel), firstDiffContext(parallel, serial))
 	}
 	var names []string
@@ -60,11 +63,11 @@ func TestReportParityAcrossJobs(t *testing.T) {
 	sort.Strings(names)
 	for _, name := range names {
 		if !bytes.Equal(serialArtifacts[name], parallelArtifacts[name]) {
-			t.Errorf("artifact %s differs between -j 1 and -j 4", name)
+			t.Errorf("artifact %s differs between GOMAXPROCS 1 and 4", name)
 		}
 	}
 	if len(parallelArtifacts) != len(serialArtifacts) {
-		t.Errorf("artifact count differs: %d at -j 1, %d at -j 4",
+		t.Errorf("artifact count differs: %d at GOMAXPROCS 1, %d at 4",
 			len(serialArtifacts), len(parallelArtifacts))
 	}
 }
@@ -112,21 +115,23 @@ func TestCacheReplaysTrainingOnce(t *testing.T) {
 	}
 }
 
-// TestPrewarmConcurrentMatchesSequential: a cache prewarmed with 4
-// workers must hold analyses identical in content to ones computed
-// sequentially without a cache.
+// TestPrewarmConcurrentMatchesSequential: a cache prewarmed at
+// GOMAXPROCS 4 must hold analyses identical in content to ones computed
+// at GOMAXPROCS 1 without a cache.
 func TestPrewarmConcurrentMatchesSequential(t *testing.T) {
 	specs := workload.Predictable()[:3]
-	warm := Options{Quick: true, Jobs: 4, Cache: NewCache()}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	warm := Options{Quick: true, Cache: NewCache()}
 	if err := warm.Prewarm(specs); err != nil {
 		t.Fatal(err)
 	}
+	runtime.GOMAXPROCS(1)
 	for _, spec := range specs {
 		cached, err := warm.analyze(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Options{Quick: true, Jobs: 1}.analyze(spec)
+		fresh, err := Options{Quick: true}.analyze(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,10 +39,10 @@ func (o Options) prewarmFor(exps []Experiment) error {
 // RunReport runs experiments in order, writing each report to w under
 // a "==== name: title ====" header. When o.Cache is set and any
 // selected experiment consumes the shared per-workload analyses, the
-// cache is first prewarmed concurrently under o.Jobs workers, so every
-// workload's training trace is replayed exactly once for the whole
-// report. The report bytes are deterministic and identical at every
-// Jobs setting: concurrency lives entirely in the prewarm, while the
+// cache is first prewarmed concurrently under GOMAXPROCS workers, so
+// every workload's training trace is replayed exactly once for the
+// whole report. The report bytes are deterministic and identical at
+// every GOMAXPROCS: concurrency lives entirely in the prewarm, while the
 // experiments themselves run — and print — strictly in order.
 func RunReport(w io.Writer, exps []Experiment, o Options) error {
 	if err := o.prewarmFor(exps); err != nil {

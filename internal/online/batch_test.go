@@ -87,7 +87,7 @@ func TestLoadSheddingBatchParity(t *testing.T) {
 	}
 	rec := trace.NewRecorder(1<<20, 1<<16)
 	spec.Make(workload.Params{N: 512, Steps: 6, Seed: 1}).Run(rec)
-	events := recordedEvents(&rec.T)
+	events := rec.T.Events()
 
 	// Pressure flips mid-stream, twice, so runs straddle stride changes.
 	pressures := []float64{0.9, 0, 0.5}
@@ -173,7 +173,7 @@ func TestAccessBatchAmortizedAllocs(t *testing.T) {
 	}
 	rec := trace.NewRecorder(1<<20, 1<<16)
 	spec.Make(workload.Params{N: 512, Steps: 6, Seed: 1}).Run(rec)
-	events := recordedEvents(&rec.T)
+	events := rec.T.Events()
 
 	cfg := DefaultConfig()
 	cfg.OnEvent = func(phase.Event) {}
@@ -206,7 +206,7 @@ func benchmarkEvents(b *testing.B) []trace.Event {
 	}
 	rec := trace.NewRecorder(1<<20, 1<<16)
 	spec.Make(workload.Params{N: 512, Steps: 6, Seed: 1}).Run(rec)
-	return recordedEvents(&rec.T)
+	return rec.T.Events()
 }
 
 // BenchmarkAccessBatch measures the batched ingest path on a real
@@ -298,7 +298,7 @@ func trainEvents(tb testing.TB, name string) []trace.Event {
 	}
 	rec := trace.NewRecorder(1<<21, 1<<16)
 	spec.Make(spec.Train).Run(rec)
-	return recordedEvents(&rec.T)
+	return rec.T.Events()
 }
 
 // BenchmarkDetectorTrain streams whole tomcatv, swim and applu Train

@@ -115,16 +115,12 @@ type Config struct {
 	// on well-behaved streams).
 	MaxSignature int
 
-	// MaxPending caps the buffered event queue when no OnEvent
-	// callback is set; overflow drops the oldest events and counts
-	// them in Stats.DroppedEvents.
-	MaxPending int
 	// MaxStride bounds how far load shedding may raise the analysis
 	// stride (default 16; 1 disables shedding).
 	MaxStride int
 
-	// OnEvent, when non-nil, receives each phase.Event synchronously
-	// instead of buffering it for DrainEvents.
+	// OnEvent receives each phase.Event synchronously, as the detector
+	// emits it; nil discards events.
 	OnEvent func(phase.Event)
 }
 
@@ -154,7 +150,6 @@ func DefaultConfig() Config {
 		PhaseTail:      512,
 		MaxPhases:      64,
 		MaxSignature:   4096,
-		MaxPending:     1024,
 		MaxStride:      16,
 	}
 }
@@ -189,11 +184,11 @@ func (c Config) withDefaults() Config {
 	if c.MinBoundaryGap < 0 {
 		c.MinBoundaryGap = 0
 	}
-	if c.MaxPending <= 0 {
-		c.MaxPending = def.MaxPending
-	}
 	if c.MaxStride <= 0 {
 		c.MaxStride = def.MaxStride
+	}
+	if c.OnEvent == nil {
+		c.OnEvent = func(phase.Event) {}
 	}
 	return c
 }

@@ -43,7 +43,6 @@ func TestConfigFingerprintPinned(t *testing.T) {
 		PhaseTail:      64,
 		MaxPhases:      16,
 		MaxSignature:   256,
-		MaxPending:     128,
 		MaxStride:      4,
 		OnEvent:        func(phase.Event) {},
 	}
@@ -54,7 +53,11 @@ func TestConfigFingerprintPinned(t *testing.T) {
 	}{
 		{"zero", Config{}, 0xa6086ac691d34174},
 		{"default", DefaultConfig(), 0xa6086ac691d34174},
-		{"off-default", offDefault, 0x796bfc185de5045d},
+		// off-default set the deleted MaxPending to 128 (0x796bfc185de5045d);
+		// its slot now always holds the old default 1024, and this is the
+		// fingerprint the config had at MaxPending 1024 before the field
+		// was deleted.
+		{"off-default", offDefault, 0x290e683679733caf},
 	} {
 		if got := c.cfg.withDefaults().fingerprint(); got != c.want {
 			t.Errorf("%s config: fingerprint %#x, want %#x", c.name, got, c.want)

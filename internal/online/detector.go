@@ -29,11 +29,12 @@ type Stats struct {
 	WindowLen       int // filtered samples pending partition (gauge)
 	GrammarSize     int // SEQUITUR grammar symbols (gauge)
 	Phases          int // distinct phase identities (gauge)
-	PendingEvents   int // buffered events awaiting drain (gauge)
 
-	Stride        int   // current load-shedding stride (1 = no shedding)
-	Shed          int64 // accesses skipped by load shedding
-	DroppedEvents int64 // events lost to a full pending buffer
+	Stride int   // current load-shedding stride (1 = no shedding)
+	Shed   int64 // accesses skipped by load shedding
+	// DroppedEvents is always 0: every event goes to OnEvent. It stays
+	// for the /stats "dropped" key that existing clients read.
+	DroppedEvents int64
 
 	// Hardening counters: boundaries rejected by the MinBoundaryGap
 	// margin guard, grammar restarts forced by the MaxGrammar cap, and
@@ -115,10 +116,8 @@ type Detector struct {
 	maskFor *datum
 
 	// Output.
-	events        []phase.Event
-	boundaries    int64
-	predictions   int64
-	droppedEvents int64
+	boundaries  int64
+	predictions int64
 }
 
 // fsample is one filtered (kept) access sample pending partitioning.
@@ -374,14 +373,6 @@ func (d *Detector) Flush() {
 	d.flushBoundaries(true)
 }
 
-// DrainEvents returns the buffered events and clears the buffer. When
-// Config.OnEvent is set there is nothing to drain.
-func (d *Detector) DrainEvents() []phase.Event {
-	ev := d.events
-	d.events = nil
-	return ev
-}
-
 // Stats snapshots the detector's counters and gauges.
 func (d *Detector) Stats() Stats {
 	return Stats{
@@ -399,10 +390,8 @@ func (d *Detector) Stats() Stats {
 		WindowLen:       len(d.window),
 		GrammarSize:     d.hier.grammarSize,
 		Phases:          len(d.hier.known),
-		PendingEvents:   len(d.events),
 		Stride:          d.stride,
 		Shed:            d.shed,
-		DroppedEvents:   d.droppedEvents,
 
 		SuppressedBoundaries: d.suppressed,
 		GrammarRestarts:      d.hier.restarts,
@@ -411,21 +400,8 @@ func (d *Detector) Stats() Stats {
 	}
 }
 
-// emit delivers one event via the callback or the bounded buffer.
-func (d *Detector) emit(ev phase.Event) {
-	if d.cfg.OnEvent != nil {
-		d.cfg.OnEvent(ev)
-		return
-	}
-	if len(d.events) >= d.cfg.MaxPending {
-		// Drop the oldest: recent boundaries matter more to a live
-		// consumer than stale ones.
-		n := copy(d.events, d.events[1:])
-		d.events = d.events[:n]
-		d.droppedEvents++
-	}
-	d.events = append(d.events, ev)
-}
+// emit delivers one event to OnEvent.
+func (d *Detector) emit(ev phase.Event) { d.cfg.OnEvent(ev) }
 
 // feedback adapts the sampling thresholds toward the target rate,
 // measured over the interval since the last check — the streaming

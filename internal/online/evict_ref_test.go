@@ -132,7 +132,7 @@ func TestEvictStalestMatchesScan(t *testing.T) {
 	for _, spec := range workload.Hostile() {
 		rec := trace.NewRecorder(1<<20, 1<<16)
 		spec.Make(spec.Params).Run(rec)
-		events := recordedEvents(&rec.T)
+		events := rec.T.Events()
 		streams["hostile-"+spec.Name] = stream{events[:min(n, len(events))], 1000}
 	}
 	for name, s := range streams {

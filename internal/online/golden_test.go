@@ -24,7 +24,7 @@ type goldenEvent struct {
 }
 
 // goldenCounters pins the deterministic counters of Stats. Gauges
-// (window length, live buckets, pending events) are deliberately
+// (window length, live buckets) are deliberately
 // excluded: they describe transient memory state, not detection output.
 type goldenCounters struct {
 	Accesses     int64 `json:"accesses"`
@@ -51,27 +51,6 @@ func goldenPath(name string) string {
 // boundaries land inside access runs, on block events, and on
 // single-event chunks — the shapes the ingest service produces.
 var goldenChunkSizes = []int{1, 7, 64, 1, 1024, 4096, 3, 509}
-
-// recordedEvents converts a recorded trace into the flat event stream
-// the server's decoder hands to AccessBatch, in Replay order.
-func recordedEvents(rec *trace.Recorded) []trace.Event {
-	events := make([]trace.Event, 0, len(rec.Accesses)+len(rec.Blocks))
-	next := 0
-	for i, b := range rec.Blocks {
-		end := len(rec.Accesses)
-		if i+1 < len(rec.Blocks) {
-			end = int(rec.Blocks[i+1].AccessIndex)
-		}
-		events = append(events, trace.Event{Kind: trace.EventBlock, Block: b.ID, Instrs: int(b.Instrs)})
-		for ; next < end; next++ {
-			events = append(events, trace.Event{Kind: trace.EventAccess, Addr: rec.Accesses[next]})
-		}
-	}
-	for ; next < len(rec.Accesses); next++ {
-		events = append(events, trace.Event{Kind: trace.EventAccess, Addr: rec.Accesses[next]})
-	}
-	return events
-}
 
 // goldenRun streams a trace through a fresh detector via feed and
 // returns the fixture-shaped result. Events are collected through
@@ -113,7 +92,7 @@ func feedPerEvent(d *Detector, rec *trace.Recorded) {
 }
 
 func feedBatched(d *Detector, rec *trace.Recorded) {
-	events := recordedEvents(rec)
+	events := rec.Events()
 	for off, k := 0, 0; off < len(events); k++ {
 		end := off + goldenChunkSizes[k%len(goldenChunkSizes)]
 		if end > len(events) {
@@ -130,7 +109,7 @@ func feedBatched(d *Detector, rec *trace.Recorded) {
 // the golden suites pin the whole encode→decode→columnar-feed pipeline
 // against the per-event truth, not just the feed loop.
 func feedColumns(d *Detector, rec *trace.Recorded) {
-	events := recordedEvents(rec)
+	events := rec.Events()
 	var (
 		buf  []byte
 		cols trace.Columns

@@ -3,6 +3,7 @@ package online
 import (
 	"testing"
 
+	"lpp/internal/phase"
 	"lpp/internal/stats"
 	"lpp/internal/trace"
 	"lpp/internal/workload"
@@ -44,7 +45,6 @@ func TestHardeningBoundsAdversarialStream(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxLive = 4096
 	cfg.MaxDataSamples = 128
-	cfg.MaxPending = 256
 	cfg.MaxGrammar = 48
 	cfg.PhaseTail = 16
 	cfg.MaxPhases = 16
@@ -70,7 +70,6 @@ func TestHardeningBoundsAdversarialStream(t *testing.T) {
 		if st.WindowLen > BoundaryWindow {
 			t.Fatalf("round %d: window %d > cap %d", r, st.WindowLen, BoundaryWindow)
 		}
-		d.DrainEvents()
 	}
 	d.Flush()
 
@@ -103,14 +102,14 @@ func TestMinBoundaryGapSuppresses(t *testing.T) {
 	run := func(gap int64) (boundaries []int64, st Stats) {
 		cfg := DefaultConfig()
 		cfg.MinBoundaryGap = gap
-		d := NewDetector(cfg)
-		rec.T.Replay(d)
-		d.Flush()
-		for _, ev := range d.DrainEvents() {
-			if ev.Kind.String() == "boundary" {
+		cfg.OnEvent = func(ev phase.Event) {
+			if ev.Kind == phase.BoundaryDetected {
 				boundaries = append(boundaries, ev.Time)
 			}
 		}
+		d := NewDetector(cfg)
+		rec.T.Replay(d)
+		d.Flush()
 		return boundaries, d.Stats()
 	}
 
@@ -147,7 +146,6 @@ func TestHardenedSnapshotRoundTrip(t *testing.T) {
 	cfg.PhaseTail = 16
 	d := NewDetector(cfg)
 	adversarialStream(d, 300_000, 42)
-	d.DrainEvents()
 
 	snap := d.Snapshot()
 	r, err := NewDetectorFromSnapshot(cfg, snap)

@@ -39,15 +39,22 @@ func phasedStream(ins trace.Instrumenter, phases, sweeps int) (switchTimes []int
 	return switchTimes, perPhase
 }
 
+// collecting returns a detector that appends every event to *evs.
+func collecting(cfg Config, evs *[]phase.Event) *Detector {
+	cfg.OnEvent = func(ev phase.Event) { *evs = append(*evs, ev) }
+	return NewDetector(cfg)
+}
+
 func TestDetectorFindsSyntheticPhaseSwitches(t *testing.T) {
-	d := NewDetector(Config{})
+	var evs []phase.Event
+	d := collecting(Config{}, &evs)
 	switches, perPhase := phasedStream(d, 25, 6)
 	d.Flush()
 
 	var boundaries []int64
 	phaseIDs := make(map[int]bool)
 	predictions := 0
-	for _, ev := range d.DrainEvents() {
+	for _, ev := range evs {
 		switch ev.Kind {
 		case phase.BoundaryDetected:
 			boundaries = append(boundaries, ev.Time)
@@ -94,11 +101,11 @@ func TestDetectorFindsSyntheticPhaseSwitches(t *testing.T) {
 }
 
 func TestDetectorDeterministic(t *testing.T) {
-	run := func() []phase.Event {
-		d := NewDetector(Config{})
+	run := func() (evs []phase.Event) {
+		d := collecting(Config{}, &evs)
 		phasedStream(d, 15, 6)
 		d.Flush()
-		return d.DrainEvents()
+		return evs
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -136,49 +143,50 @@ func TestPressureShedsLoad(t *testing.T) {
 	}
 }
 
+// TestEventBufferBounded: the detector keeps no events. With a nil
+// OnEvent it discards them, so a long stream leaves nothing behind: the
+// snapshot's pending-event section stays empty and nothing is dropped.
 func TestEventBufferBounded(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxPending = 4
-	d := NewDetector(cfg)
+	d := NewDetector(DefaultConfig())
 	phasedStream(d, 30, 6)
 	d.Flush()
 	st := d.Stats()
-	if st.PendingEvents > 4 {
-		t.Errorf("pending events %d exceed cap 4", st.PendingEvents)
+	if st.Boundaries == 0 {
+		t.Fatal("no boundaries: the stream emitted nothing to discard")
 	}
-	if st.Boundaries+st.Predictions > 4 && st.DroppedEvents == 0 {
-		t.Error("overflowing buffer dropped nothing")
+	if st.DroppedEvents != 0 {
+		t.Errorf("dropped %d events", st.DroppedEvents)
 	}
-	if got := len(d.DrainEvents()); got > 4 {
-		t.Errorf("drained %d events, cap 4", got)
+	r, err := NewDetectorFromSnapshot(DefaultConfig(), d.Snapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(d.DrainEvents()) != 0 {
-		t.Error("second drain not empty")
+	if a, b := st, r.Stats(); a != b {
+		t.Errorf("restored stats differ:\n  original %+v\n  restored %+v", a, b)
 	}
 }
 
+// TestOnEventCallbackBypassesBuffer: every boundary and prediction
+// the detector counts goes straight to the callback, and none is
+// dropped.
 func TestOnEventCallbackBypassesBuffer(t *testing.T) {
 	var got []phase.Event
-	cfg := DefaultConfig()
-	cfg.OnEvent = func(ev phase.Event) { got = append(got, ev) }
-	d := NewDetector(cfg)
+	d := collecting(DefaultConfig(), &got)
 	phasedStream(d, 15, 6)
 	d.Flush()
 	if len(got) == 0 {
 		t.Fatal("callback saw no events")
 	}
-	if len(d.DrainEvents()) != 0 {
-		t.Error("events buffered despite callback")
-	}
-	if st := d.Stats(); st.DroppedEvents != 0 {
-		t.Errorf("dropped %d events with a callback attached", st.DroppedEvents)
+	if st := d.Stats(); st.DroppedEvents != 0 || st.Boundaries+st.Predictions != int64(len(got)) {
+		t.Errorf("callback saw %d events; stats %+v", len(got), st)
 	}
 }
 
 func TestFlushOnEmptyDetector(t *testing.T) {
-	d := NewDetector(Config{})
+	var evs []phase.Event
+	d := collecting(Config{}, &evs)
 	d.Flush() // must not panic with no input
-	if ev := d.DrainEvents(); len(ev) != 0 {
-		t.Errorf("events from empty stream: %v", ev)
+	if len(evs) != 0 {
+		t.Errorf("events from empty stream: %v", evs)
 	}
 }

@@ -67,18 +67,17 @@ func TestOnlineOfflineBoundaryParity(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			var online []int64
 			ocfg := DefaultConfig()
 			ocfg.KeepIrregular = c.keepIrregular
-			od := NewDetector(ocfg)
-			rec.T.Replay(od)
-			od.Flush()
-
-			var online []int64
-			for _, ev := range od.DrainEvents() {
+			ocfg.OnEvent = func(ev phase.Event) {
 				if ev.Kind == phase.BoundaryDetected {
 					online = append(online, ev.Time)
 				}
 			}
+			od := NewDetector(ocfg)
+			rec.T.Replay(od)
+			od.Flush()
 
 			n := int64(len(rec.T.Accesses))
 			for i, b := range online {

@@ -10,7 +10,6 @@ import (
 
 	"lpp/internal/codec"
 	"lpp/internal/core"
-	"lpp/internal/phase"
 	"lpp/internal/reuse"
 	"lpp/internal/sampling"
 	"lpp/internal/sequitur"
@@ -44,11 +43,15 @@ var (
 	ErrSnapshotConfig  = errors.New("online: snapshot config mismatch")
 )
 
+// maxPendingSlot is the default of the deleted buffered-event cap,
+// written in its old fingerprint slot.
+const maxPendingSlot = 1024
+
 // fingerprint hashes the effective (defaulted) configuration fields
 // that shape detection behavior; OnEvent is delivery, not behavior.
-// The detection constants and the values derived from CheckEvery keep
-// the slots they had as Config fields, so fingerprints, and the image
-// headers that carry them, stay stable.
+// The detection constants, the values derived from CheckEvery and the
+// deleted event-queue cap keep the slots they had as Config fields, so
+// fingerprints, and the image headers that carry them, stay stable.
 func (c Config) fingerprint() uint64 {
 	var e codec.Enc
 	e.F64(c.Epsilon)
@@ -75,7 +78,7 @@ func (c Config) fingerprint() uint64 {
 	e.Num(c.PhaseTail)
 	e.Num(c.MaxPhases)
 	e.F64(Similarity)
-	e.Num(c.MaxPending)
+	e.Num(maxPendingSlot)
 	e.Num(c.MaxStride)
 	e.I64(c.MinBoundaryGap)
 	e.Num(c.MaxSignature)
@@ -132,7 +135,7 @@ func (d *Detector) Snapshot() []byte {
 	e.I64(d.segStart)
 	e.I64(d.boundaries)
 	e.I64(d.predictions)
-	e.I64(d.droppedEvents)
+	e.I64(0) // dropped events: none since OnEvent became the only delivery
 	e.I64(d.suppressed)
 
 	// Approximate reuse analyzer.
@@ -181,14 +184,8 @@ func (d *Detector) Snapshot() []byte {
 		e.Num(s.page)
 	}
 
-	// Pending (undrained) events.
-	e.Num(len(d.events))
-	for _, ev := range d.events {
-		e.Num(int(ev.Kind))
-		e.I64(ev.Time)
-		e.I64(ev.Instructions)
-		e.Num(ev.Phase)
-	}
+	// Pending events: none since OnEvent became the only delivery.
+	e.Num(0)
 
 	// Phase hierarchy: tail, page signatures, open segment, grammar.
 	e.Num(len(d.hier.tail))
@@ -302,7 +299,9 @@ func (d *Detector) Restore(data []byte) error {
 	nd.segStart = dec.I64()
 	nd.boundaries = dec.I64()
 	nd.predictions = dec.I64()
-	nd.droppedEvents = dec.I64()
+	if dropped := dec.I64(); dropped != 0 {
+		dec.Fail("%d dropped events, want 0", dropped)
+	}
 	nd.suppressed = dec.I64()
 	if dec.Err() == nil && (nd.stride < 1 || nd.stride > nd.cfg.MaxStride) {
 		dec.Fail("stride %d out of [1,%d]", nd.stride, nd.cfg.MaxStride)
@@ -418,23 +417,8 @@ func (d *Detector) Restore(data []byte) error {
 	}
 
 	// Pending events.
-	n = dec.Length(4)
-	if dec.Err() == nil && n > nd.cfg.MaxPending {
-		dec.Fail("%d pending events exceed cap %d", n, nd.cfg.MaxPending)
-	}
-	nd.events = make([]phase.Event, 0, n)
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		k := dec.Num()
-		if k != int(phase.BoundaryDetected) && k != int(phase.PhasePredicted) {
-			dec.Fail("bad event kind %d", k)
-			break
-		}
-		nd.events = append(nd.events, phase.Event{
-			Kind:         phase.Kind(k),
-			Time:         dec.I64(),
-			Instructions: dec.I64(),
-			Phase:        dec.Num(),
-		})
+	if n := dec.Num(); n != 0 {
+		dec.Fail("%d pending events, want 0", n)
 	}
 
 	// Hierarchy.

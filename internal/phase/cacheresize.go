@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lpp/internal/adapt"
-	"lpp/internal/cache"
 	"lpp/internal/codec"
 )
 
@@ -12,40 +11,21 @@ import (
 // adaptive cache resizing.
 const DefaultResizeBound = 0.05
 
-// resizeBytesPerAssoc is one associativity step in bytes (32KB), the
-// same unit adapt's offline scoring uses.
-const resizeBytesPerAssoc = cache.DefaultSets << cache.DefaultBlockBits
-
-// CacheResizer replays adapt.GroupedMethod's learn-then-reuse
-// discipline one event at a time: the first two executions of each
-// phase are exploration trials (full size, then half size) while the
-// phase's best size is learned; every later execution of that phase
-// runs at the learned size. Each boundary ending an identified phase
-// is one window, its length the access delta since the previous
-// boundary and its locality the event's signature.
+// CacheResizer wraps adapt.Resizer, the learn-then-reuse policy of the
+// offline resizing experiment, around the event bus: each boundary
+// ending an identified phase is one window, its length the access
+// delta since the previous boundary and its locality the event's
+// signature. The unmarked prelude (Phase < 0) and zero-length windows
+// are skipped.
 type CacheResizer struct {
-	bound float64
-
-	groups map[int]*resizeState
-
+	r        *adapt.Resizer
 	prevTime int64
-
-	explorations int64
-	bytesSum     float64
-	lenSum       float64
-	misses       float64
-	fullMisses   float64
-}
-
-type resizeState struct {
-	seen    int64
-	learned int64
 }
 
 // NewCacheResizer returns a resizer that accepts at most bound
 // relative miss increase over the full 256KB cache.
 func NewCacheResizer(bound float64) *CacheResizer {
-	return &CacheResizer{bound: bound, groups: make(map[int]*resizeState)}
+	return &CacheResizer{r: adapt.NewResizer(bound)}
 }
 
 // Name implements Consumer.
@@ -56,62 +36,23 @@ func (c *CacheResizer) Consume(ev Event) error {
 	if ev.Kind != BoundaryDetected {
 		return nil
 	}
-	length := float64(ev.Time - c.prevTime)
+	length := ev.Time - c.prevTime
 	c.prevTime = ev.Time
-	if ev.Phase < 0 || length <= 0 {
-		return nil
-	}
-	g := c.groups[ev.Phase]
-	if g == nil {
-		g = &resizeState{}
-		c.groups[ev.Phase] = g
-		c.explorations++
-	}
-	var assigned int
-	explore := false
-	switch g.seen {
-	case 0:
-		assigned = cache.MaxAssoc
-		explore = true
-	case 1:
-		assigned = cache.MaxAssoc / 2
-		explore = true
-	default:
-		assigned = int(g.learned)
-	}
-	if explore {
-		if b := adapt.BestAssoc(ev.Locality, c.bound); int64(b) > g.learned {
-			g.learned = int64(b)
-		}
-		g.seen++
-	}
-	c.bytesSum += float64(assigned*resizeBytesPerAssoc) * length
-	c.lenSum += length
-	if !explore {
-		c.misses += ev.Locality.MissAt(assigned) * length
-		c.fullMisses += ev.Locality.MissAt(cache.MaxAssoc) * length
+	if ev.Phase >= 0 && length > 0 {
+		c.r.Step(ev.Phase, length, ev.Locality)
 	}
 	return nil
 }
 
 // Result folds the consumed stream into the same summary shape as the
 // offline resizing experiment.
-func (c *CacheResizer) Result() adapt.Result {
-	r := adapt.Result{Explorations: int(c.explorations)}
-	if c.lenSum > 0 {
-		r.AvgBytes = c.bytesSum / c.lenSum
-	}
-	if c.fullMisses > 0 {
-		r.MissIncrease = c.misses/c.fullMisses - 1
-	}
-	return r
-}
+func (c *CacheResizer) Result() adapt.Result { return c.r.Result() }
 
 // Report implements Reporter.
 func (c *CacheResizer) Report() string {
 	r := c.Result()
 	return fmt.Sprintf("bound=%.2f avg-size=%.0fKB explorations=%d miss-increase=%.4f",
-		c.bound, r.AvgBytes/1024, r.Explorations, r.MissIncrease)
+		c.r.Bound(), r.AvgBytes/1024, r.Explorations, r.MissIncrease)
 }
 
 const resizeSnapVersion = 1
@@ -121,18 +62,7 @@ func (c *CacheResizer) Snapshot() []byte {
 	var e codec.Enc
 	e.Num(resizeSnapVersion)
 	e.I64(c.prevTime)
-	e.I64(c.explorations)
-	e.F64(c.bytesSum)
-	e.F64(c.lenSum)
-	e.F64(c.misses)
-	e.F64(c.fullMisses)
-	e.Num(len(c.groups))
-	for _, ph := range codec.SortedKeys(c.groups) {
-		g := c.groups[ph]
-		e.Num(ph)
-		e.I64(g.seen)
-		e.I64(g.learned)
-	}
+	c.r.Encode(&e)
 	return e.Buf
 }
 
@@ -143,24 +73,10 @@ func (c *CacheResizer) Restore(data []byte) error {
 		return fmt.Errorf("phase: unsupported cacheresize snapshot version %d", v)
 	}
 	prevTime := d.I64()
-	explorations := d.I64()
-	bytesSum := d.F64()
-	lenSum := d.F64()
-	misses := d.F64()
-	fullMisses := d.F64()
-	n := d.Length(3)
-	groups := make(map[int]*resizeState, n)
-	for i, ph := 0, 0; i < n && d.Err() == nil; i++ {
-		ph = d.Key(i, ph)
-		groups[ph] = &resizeState{seen: d.I64(), learned: d.I64()}
-	}
+	r := c.r.Decode(d)
 	if err := d.Done(); err != nil {
 		return err
 	}
-	c.prevTime = prevTime
-	c.explorations = explorations
-	c.bytesSum, c.lenSum = bytesSum, lenSum
-	c.misses, c.fullMisses = misses, fullMisses
-	c.groups = groups
+	c.prevTime, c.r = prevTime, r
 	return nil
 }

@@ -3,7 +3,6 @@ package phase
 import (
 	"fmt"
 
-	"lpp/internal/affinity"
 	"lpp/internal/codec"
 )
 
@@ -16,10 +15,6 @@ import (
 // many announced plans had to be discarded because a different phase
 // ran.
 type RemapConsumer struct {
-	// groups is the layout plan applied per remap; optional
-	// configuration supplied by the offline pipeline.
-	groups []affinity.Group
-
 	// planned is the phase the bus announced as beginning the current
 	// segment (-1 none), i.e. the layout staged ahead of time.
 	planned int64
@@ -31,15 +26,10 @@ type RemapConsumer struct {
 	phases map[int]bool
 }
 
-// NewRemapConsumer returns a remap planner with no affinity groups
-// configured.
+// NewRemapConsumer returns a remap planner.
 func NewRemapConsumer() *RemapConsumer {
 	return &RemapConsumer{planned: -1, phases: make(map[int]bool)}
 }
-
-// SetGroups configures the affinity groups the plans interleave.
-// Configuration, not snapshotted state.
-func (c *RemapConsumer) SetGroups(groups []affinity.Group) { c.groups = groups }
 
 // Name implements Consumer.
 func (c *RemapConsumer) Name() string { return "remap" }
@@ -72,8 +62,8 @@ func (c *RemapConsumer) Consume(ev Event) error {
 
 // Report implements Reporter.
 func (c *RemapConsumer) Report() string {
-	return fmt.Sprintf("installs=%d planned-ahead=%d mispredicts=%d phases=%d groups=%d",
-		c.installs, c.plannedAhead, c.mispredicts, len(c.phases), len(c.groups))
+	return fmt.Sprintf("installs=%d planned-ahead=%d mispredicts=%d phases=%d",
+		c.installs, c.plannedAhead, c.mispredicts, len(c.phases))
 }
 
 const remapSnapVersion = 1

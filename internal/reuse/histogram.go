@@ -13,7 +13,6 @@ type Histogram struct {
 	overflow [64]int64
 	cold     int64
 	total    int64
-	maxDist  int64
 }
 
 const exactLimit = 1 << 14 // exact counts up to 16K-block distances
@@ -23,24 +22,12 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]int64, exactLimit)}
 }
 
-// ensure backfills the exact-count table so the zero Histogram value is
-// usable, not just NewHistogram's.
-func (h *Histogram) ensure() {
-	if h.counts == nil {
-		h.counts = make([]int64, exactLimit)
-	}
-}
-
 // Add records one reuse distance (use Infinite for a cold access).
 func (h *Histogram) Add(d int64) {
 	h.total++
 	if d == Infinite {
 		h.cold++
 		return
-	}
-	h.ensure()
-	if d > h.maxDist {
-		h.maxDist = d
 	}
 	if d < exactLimit {
 		h.counts[d]++
@@ -54,9 +41,6 @@ func (h *Histogram) Total() int64 { return h.total }
 
 // Cold returns the number of cold (first-reference) accesses.
 func (h *Histogram) Cold() int64 { return h.cold }
-
-// MaxDistance returns the largest finite distance recorded.
-func (h *Histogram) MaxDistance() int64 { return h.maxDist }
 
 // MissRate returns the fully-associative LRU miss rate for a cache of
 // capacity blocks: the fraction of accesses with distance >= capacity,
@@ -86,33 +70,6 @@ func (h *Histogram) MissRate(capacity int64) float64 {
 		}
 	}
 	return float64(misses) / float64(h.total)
-}
-
-// MissRates evaluates MissRate at each capacity.
-func (h *Histogram) MissRates(capacities []int64) []float64 {
-	out := make([]float64, len(capacities))
-	for i, c := range capacities {
-		out[i] = h.MissRate(c)
-	}
-	return out
-}
-
-// Merge adds the contents of other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if len(other.counts) > 0 {
-		h.ensure()
-	}
-	for d, c := range other.counts {
-		h.counts[d] += c
-	}
-	for b, c := range other.overflow {
-		h.overflow[b] += c
-	}
-	h.cold += other.cold
-	h.total += other.total
-	if other.maxDist > h.maxDist {
-		h.maxDist = other.maxDist
-	}
 }
 
 func log2(x uint64) int {

@@ -53,89 +53,3 @@ func TestHistogramMissRateEdges(t *testing.T) {
 		})
 	}
 }
-
-// TestHistogramMissRatesVector: the vector form must evaluate each
-// capacity independently, degenerate ones included.
-func TestHistogramMissRatesVector(t *testing.T) {
-	h := NewHistogram()
-	h.Add(0)
-	h.Add(10)
-	h.Add(Infinite)
-	got := h.MissRates([]int64{-1, 0, 1, 11})
-	want := []float64{1, 1, 2.0 / 3, 1.0 / 3}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("rate[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if out := h.MissRates(nil); len(out) != 0 {
-		t.Errorf("MissRates(nil) = %v, want empty", out)
-	}
-}
-
-// TestHistogramMergeEdges: merging must tolerate empty and zero-value
-// operands in either position and preserve totals, cold counts, and
-// max distance.
-func TestHistogramMergeEdges(t *testing.T) {
-	t.Run("empty into empty", func(t *testing.T) {
-		h := NewHistogram()
-		h.Merge(NewHistogram())
-		if h.Total() != 0 || h.Cold() != 0 || h.MissRate(1) != 0 {
-			t.Errorf("empty merge mutated histogram: total=%d cold=%d", h.Total(), h.Cold())
-		}
-	})
-	t.Run("zero values both sides", func(t *testing.T) {
-		var h, other Histogram
-		h.Merge(&other) // must not panic on nil count tables
-		other.Add(2)
-		other.Add(Infinite)
-		h.Merge(&other)
-		if h.Total() != 2 || h.Cold() != 1 || h.MaxDistance() != 2 {
-			t.Errorf("merge into zero value: total=%d cold=%d max=%d", h.Total(), h.Cold(), h.MaxDistance())
-		}
-		if got := h.MissRate(4); math.Abs(got-0.5) != 0 {
-			t.Errorf("MissRate(4) = %v, want 0.5", got)
-		}
-	})
-	t.Run("cold-only into populated", func(t *testing.T) {
-		h := NewHistogram()
-		h.Add(1)
-		h.Add(exactLimit + 5)
-		cold := NewHistogram()
-		cold.Add(Infinite)
-		cold.Add(Infinite)
-		h.Merge(cold)
-		if h.Total() != 4 || h.Cold() != 2 {
-			t.Fatalf("total=%d cold=%d, want 4, 2", h.Total(), h.Cold())
-		}
-		// Distances survive the merge: capacity 2 keeps only d=1.
-		if got, want := h.MissRate(2), 0.75; math.Abs(got-want) > 1e-12 {
-			t.Errorf("MissRate(2) = %v, want %v", got, want)
-		}
-	})
-	t.Run("merge equals interleaved adds", func(t *testing.T) {
-		a, b, both := NewHistogram(), NewHistogram(), NewHistogram()
-		ds := []int64{0, 1, 1, 7, 300, exactLimit, exactLimit * 3, Infinite}
-		for i, d := range ds {
-			if i%2 == 0 {
-				a.Add(d)
-			} else {
-				b.Add(d)
-			}
-			both.Add(d)
-		}
-		a.Merge(b)
-		caps := []int64{-1, 0, 1, 2, 8, 512, exactLimit, exactLimit * 2, 1 << 30}
-		for _, c := range caps {
-			if got, want := a.MissRate(c), both.MissRate(c); got != want {
-				t.Errorf("capacity %d: merged %v, interleaved %v", c, got, want)
-			}
-		}
-		if a.MaxDistance() != both.MaxDistance() {
-			t.Errorf("max distance %d, want %d", a.MaxDistance(), both.MaxDistance())
-		}
-	})
-}

@@ -152,25 +152,6 @@ func TestHistogramOverflowBuckets(t *testing.T) {
 	if got := h.MissRate(1 << 20); got != 0 {
 		t.Errorf("MissRate(1<<20) = %g, want 0", got)
 	}
-	if h.MaxDistance() != exactLimit+10 {
-		t.Errorf("MaxDistance = %d", h.MaxDistance())
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	h1, h2 := NewHistogram(), NewHistogram()
-	h1.Add(0)
-	h1.Add(Infinite)
-	h2.Add(2)
-	h2.Add(2)
-	h1.Merge(h2)
-	if h1.Total() != 4 || h1.Cold() != 1 {
-		t.Fatalf("after merge: total=%d cold=%d", h1.Total(), h1.Cold())
-	}
-	// Capacity 1: distance 0 hits; two 2s and cold miss = 3/4.
-	if got := h1.MissRate(1); got != 0.75 {
-		t.Errorf("MissRate(1) = %g, want 0.75", got)
-	}
 }
 
 func TestHistogramMissRateMonotone(t *testing.T) {

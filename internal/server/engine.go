@@ -88,7 +88,7 @@ type session struct {
 	events      atomic.Int64
 	boundaries  atomic.Int64
 	predictions atomic.Int64
-	dropped     atomic.Int64
+	dropped     atomic.Int64 // always 0: the detector drops no events
 	shed        atomic.Int64
 }
 

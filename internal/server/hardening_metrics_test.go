@@ -46,21 +46,7 @@ func TestDetectorHardeningMetrics(t *testing.T) {
 	p.Quantum = 500
 	rec := trace.NewRecorder(1<<20, 1<<14)
 	spec.Make(p).Run(rec)
-	events := make([]trace.Event, 0, len(rec.T.Accesses)+len(rec.T.Blocks))
-	next := 0
-	for i, b := range rec.T.Blocks {
-		end := len(rec.T.Accesses)
-		if i+1 < len(rec.T.Blocks) {
-			end = int(rec.T.Blocks[i+1].AccessIndex)
-		}
-		events = append(events, trace.Event{Kind: trace.EventBlock, Block: b.ID, Instrs: int(b.Instrs)})
-		for ; next < end; next++ {
-			events = append(events, trace.Event{Kind: trace.EventAccess, Addr: rec.T.Accesses[next]})
-		}
-	}
-	for ; next < len(rec.T.Accesses); next++ {
-		events = append(events, trace.Event{Kind: trace.EventAccess, Addr: rec.T.Accesses[next]})
-	}
+	events := rec.T.Events()
 
 	const chunk = 1 << 16
 	for off := 0; off < len(events); off += chunk {

@@ -167,7 +167,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"events":      sess.events.Load(),
 		"boundaries":  sess.boundaries.Load(),
 		"predictions": sess.predictions.Load(),
-		"dropped":     sess.dropped.Load(),
+		"dropped":     sess.dropped.Load(), // always 0; kept for existing clients
 		"shed":        sess.shed.Load(),
 		"seq":         int64(sess.seq.Load()),
 		"quarantined": quarantined,

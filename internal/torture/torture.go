@@ -100,27 +100,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// flatten converts a recorded trace into replay-ordered events, the
-// unit both streaming paths consume.
-func flatten(t *trace.Recorded) []trace.Event {
-	out := make([]trace.Event, 0, len(t.Accesses)+len(t.Blocks))
-	next := 0
-	for i, b := range t.Blocks {
-		end := len(t.Accesses)
-		if i+1 < len(t.Blocks) {
-			end = int(t.Blocks[i+1].AccessIndex)
-		}
-		out = append(out, trace.Event{Kind: trace.EventBlock, Block: b.ID, Instrs: int(b.Instrs)})
-		for ; next < end; next++ {
-			out = append(out, trace.Event{Kind: trace.EventAccess, Addr: t.Accesses[next]})
-		}
-	}
-	for ; next < len(t.Accesses); next++ {
-		out = append(out, trace.Event{Kind: trace.EventAccess, Addr: t.Accesses[next]})
-	}
-	return out
-}
-
 // Run executes the differential harness for one hostile family.
 func Run(family string, opt Options) (*Report, error) {
 	spec, err := workload.HostileByName(family)
@@ -140,7 +119,7 @@ func RunSpec(spec workload.HostileSpec, params workload.HostileParams, opt Optio
 	rec := trace.NewRecorder(1<<20, 1<<14)
 	prog.Run(rec)
 	truth := prog.Truth()
-	events := flatten(&rec.T)
+	events := rec.T.Events()
 
 	rep := &Report{
 		Family:          spec.Name,

@@ -75,6 +75,28 @@ func (t *Recorded) Replay(ins Instrumenter) {
 	}
 }
 
+// Events flattens a recorded trace into the event stream Replay would
+// feed an Instrumenter, in the same order: each block event followed by
+// the accesses up to the next block event.
+func (t *Recorded) Events() []Event {
+	out := make([]Event, 0, len(t.Accesses)+len(t.Blocks))
+	next := 0
+	for i, b := range t.Blocks {
+		end := len(t.Accesses)
+		if i+1 < len(t.Blocks) {
+			end = int(t.Blocks[i+1].AccessIndex)
+		}
+		out = append(out, Event{Kind: EventBlock, Block: b.ID, Instrs: int(b.Instrs)})
+		for ; next < end; next++ {
+			out = append(out, Event{Kind: EventAccess, Addr: t.Accesses[next]})
+		}
+	}
+	for ; next < len(t.Accesses); next++ {
+		out = append(out, Event{Kind: EventAccess, Addr: t.Accesses[next]})
+	}
+	return out
+}
+
 // BlockFrequency returns, for every block ID that appears in the block
 // trace, the number of times it executed.
 func (t *Recorded) BlockFrequency() map[BlockID]int {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +92,41 @@ func TestReplayRoundTrip(t *testing.T) {
 			}
 		}
 		return src.T.Instructions == dst.T.Instructions
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// eventSink is an Instrumenter that keeps what it is fed as Events.
+type eventSink []Event
+
+func (s *eventSink) Block(id BlockID, instrs int) {
+	*s = append(*s, Event{Kind: EventBlock, Block: id, Instrs: instrs})
+}
+
+func (s *eventSink) Access(addr Addr) { *s = append(*s, Event{Kind: EventAccess, Addr: addr}) }
+
+// TestEventsMatchReplay: Events is exactly the stream Replay feeds, in
+// order, on runs with and without accesses before the first block.
+func TestEventsMatchReplay(t *testing.T) {
+	f := func(lead uint8, blocks []uint8, accessesPerBlock []uint8) bool {
+		src := NewRecorder(0, 0)
+		addr := Addr(0)
+		for j := 0; j < int(lead%4); j++ {
+			src.Access(addr)
+			addr += 8
+		}
+		for i := 0; i < min(len(blocks), len(accessesPerBlock)); i++ {
+			src.Block(BlockID(blocks[i]), int(accessesPerBlock[i])+1)
+			for j := 0; j < int(accessesPerBlock[i]%5); j++ {
+				src.Access(addr)
+				addr += 8
+			}
+		}
+		var want eventSink
+		src.T.Replay(&want)
+		return slices.Equal(src.T.Events(), []Event(want))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -156,26 +156,5 @@ func (c Case) Events() ([]trace.Event, error) {
 	}
 	rec := trace.NewRecorder(1<<20, 1<<16)
 	spec.Make(c.Params).Run(rec)
-	return Events(&rec.T), nil
-}
-
-// Events flattens a recorded trace into the flat event stream in
-// Replay order.
-func Events(rec *trace.Recorded) []trace.Event {
-	events := make([]trace.Event, 0, len(rec.Accesses)+len(rec.Blocks))
-	next := 0
-	for i, b := range rec.Blocks {
-		end := len(rec.Accesses)
-		if i+1 < len(rec.Blocks) {
-			end = int(rec.Blocks[i+1].AccessIndex)
-		}
-		events = append(events, trace.Event{Kind: trace.EventBlock, Block: b.ID, Instrs: int(b.Instrs)})
-		for ; next < end; next++ {
-			events = append(events, trace.Event{Kind: trace.EventAccess, Addr: rec.Accesses[next]})
-		}
-	}
-	for ; next < len(rec.Accesses); next++ {
-		events = append(events, trace.Event{Kind: trace.EventAccess, Addr: rec.Accesses[next]})
-	}
-	return events
+	return rec.T.Events(), nil
 }

@@ -233,7 +233,7 @@ func TestInterleavedStreamDoesNotContaminate(t *testing.T) {
 	p.TenantA, p.TenantB = "fft", "moldyn"
 	rec := trace.NewRecorder(1<<20, 1<<16)
 	spec.Make(p).Run(rec)
-	mixed := Run(Events(&rec.T), Config{Detector: online.DefaultConfig()}, store, true)
+	mixed := Run(rec.T.Events(), Config{Detector: online.DefaultConfig()}, store, true)
 	if mixed.WarmStarted {
 		name := "unknown"
 		for n, fp := range own {
