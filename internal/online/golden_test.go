@@ -53,8 +53,7 @@ func goldenPath(name string) string {
 var goldenChunkSizes = []int{1, 7, 64, 1, 1024, 4096, 3, 509}
 
 // goldenRun streams a trace through a fresh detector via feed and
-// returns the fixture-shaped result. Events are collected through
-// OnEvent so nothing can be dropped by the bounded buffer.
+// returns the fixture-shaped result, collecting events through OnEvent.
 func goldenRun(c parityCase, rec *trace.Recorded, feed func(*Detector, *trace.Recorded)) goldenFixture {
 	var events []goldenEvent
 	cfg := DefaultConfig()
