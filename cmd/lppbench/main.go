@@ -1,8 +1,8 @@
 // Command lppbench regenerates the tables and figures of the paper's
 // evaluation section, and writes the BENCH_* artifacts for the
-// warm-start, hostile-torture and routed-cluster runs. Throughput of
-// the stream, ingest and offline paths is measured by the repository
-// benchmark (bash perfbench/run.sh).
+// warm-start and hostile-torture runs. Throughput of the stream,
+// ingest, routed-cluster and offline paths is measured by the
+// repository benchmark (bash perfbench/run.sh).
 //
 // Usage:
 //
@@ -10,10 +10,9 @@
 //	lppbench -exp table2,fig6   # run selected experiments
 //	lppbench -quick             # shrunken inputs (seconds, not minutes)
 //	lppbench -out results/      # also write CSV artifacts
-//	lppbench -j 8               # analysis worker pool (default GOMAXPROCS)
+//	lppbench -html report.html -out results/  # self-contained HTML report
 //	lppbench -list              # list experiments
 //	lppbench -warmstart         # knowledge-store warm-start benchmark, write BENCH_warmstart.json
-//	lppbench -cluster           # routed 3-node chaos benchmark, write BENCH_cluster.json
 //	lppbench -hostile [-family drift]     # differential torture harness, write BENCH_hostile.json
 package main
 
@@ -46,19 +45,16 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("lppbench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "", "comma-separated experiment names (default all)")
-		quick    = fs.Bool("quick", false, "shrink inputs for a fast run")
-		out      = fs.String("out", "", "directory for CSV/SVG artifacts")
-		list     = fs.Bool("list", false, "list experiments and exit")
-		html     = fs.String("html", "", "write a self-contained HTML report to this file (needs -out)")
-		warm     = fs.Bool("warmstart", false, "benchmark knowledge-store warm starts on the golden workloads (writes BENCH_warmstart.json)")
-		chunkLen = fs.Int("chunk", 16384, "events per chunk for -cluster")
-		cluster  = fs.Bool("cluster", false, "routed 3-node cluster: kill a node mid-ingest, live-migrate a session under load, verify zero loss (writes BENCH_cluster.json)")
-		perSess  = fs.Int("events", 200_000, "event budget for -cluster (each of its 12 sessions streams a quarter of it, at least 20000)")
-		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf  = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		hostile  = fs.Bool("hostile", false, "run the differential torture harness over the hostile families (writes BENCH_hostile.json)")
-		family   = fs.String("family", "", "restrict -hostile to one family: interleaved, drift, or adaptive")
+		exp     = fs.String("exp", "", "comma-separated experiment names (default all)")
+		quick   = fs.Bool("quick", false, "shrink inputs for a fast run")
+		out     = fs.String("out", "", "directory for CSV/SVG artifacts")
+		list    = fs.Bool("list", false, "list experiments and exit")
+		html    = fs.String("html", "", "write a self-contained HTML report to this file (needs -out)")
+		warm    = fs.Bool("warmstart", false, "benchmark knowledge-store warm starts on the golden workloads (writes BENCH_warmstart.json)")
+		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		hostile = fs.Bool("hostile", false, "run the differential torture harness over the hostile families (writes BENCH_hostile.json)")
+		family  = fs.String("family", "", "restrict -hostile to one family: interleaved, drift, or adaptive")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,8 +77,6 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	case *hostile:
 		return runHostile(stdout, *out, *family)
-	case *cluster:
-		return runCluster(stdout, *out, *perSess, *chunkLen)
 	case *list:
 		for _, e := range experiments.All() {
 			fmt.Fprintf(stdout, "%-12s %s\n", e.Name, e.Title)

@@ -88,37 +88,15 @@ func TestHostileArtifact(t *testing.T) {
 	}
 }
 
-func TestClusterArtifact(t *testing.T) {
-	dir := t.TempDir()
-	runOK(t, "-cluster", "-events", "40000", "-chunk", "4096", "-out", dir)
-	var rep struct {
-		NumCPU     int    `json:"num_cpu"`
-		EventsLost int    `json:"events_lost"`
-		Parity     string `json:"parity"`
-		Note       string `json:"note"`
-	}
-	readArtifact(t, dir, "BENCH_cluster.json", &rep)
-	if rep.EventsLost != 0 || rep.Parity != "byte-identical" {
-		t.Errorf("events_lost = %d, parity = %q; want 0, byte-identical", rep.EventsLost, rep.Parity)
-	}
-	if rep.NumCPU != runtime.NumCPU() {
-		t.Errorf("num_cpu = %d, want %d", rep.NumCPU, runtime.NumCPU())
-	}
-	if single := strings.Contains(rep.Note, "single-CPU"); single != (runtime.NumCPU() == 1) {
-		t.Errorf("note claims single-CPU = %v on a %d-CPU host: %q", single, runtime.NumCPU(), rep.Note)
-	}
-}
-
-// TestClusterNoteFollowsHost pins both branches of the note, whatever
-// host the suite runs on.
-func TestClusterNoteFollowsHost(t *testing.T) {
-	for _, ncpu := range []int{1, 2, 8} {
-		note := clusterNote(ncpu)
-		if !strings.Contains(note, "Kill()") {
-			t.Errorf("%d CPUs: note drops the node-death method: %q", ncpu, note)
-		}
-		if single := strings.Contains(note, "single-CPU"); single != (ncpu == 1) {
-			t.Errorf("%d CPUs: single-CPU caveat = %v: %q", ncpu, single, note)
+// TestClusterFlagsRejected: the routed-cluster mode is gone (the
+// routed chaos suite in internal/cluster checks it, perfbench's
+// stream-routed-durable workload measures it), and its flags fail flag
+// parsing.
+func TestClusterFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-cluster"}, {"-events", "40000"}, {"-chunk", "4096"}} {
+		err := run(args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s: err = %v, want an undefined-flag error", strings.Join(args, " "), err)
 		}
 	}
 }

@@ -1,13 +1,13 @@
 package cluster
 
 // The routed-cluster chaos suite: nine paper workloads streamed at a
-// 3-node cluster through the router, with a random node killed
-// mid-ingest and one live migration forced under load. The client sees
-// only the router address the whole time. The bar is the same
-// byte-parity contract the single-node chaos and 2-node failover
-// suites enforce: every acknowledged response, the consumer state, and
-// the final flush must be identical to an uninterrupted single-node
-// run.
+// 3-node cluster through the router, one session per case and then all
+// nine at once, with a node killed mid-ingest and one live migration
+// forced under load. The client sees only the router address the whole
+// time. The bar is the same byte-parity contract the single-node chaos
+// and 2-node failover suites enforce: every acknowledged response, the
+// consumer state, and the final flush must be identical to an
+// uninterrupted single-node run.
 
 import (
 	"bytes"
@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"lpp/internal/httpx"
 	"lpp/internal/online"
 	"lpp/internal/phase"
 	"lpp/internal/server"
@@ -188,11 +187,24 @@ func del(t *testing.T, client *http.Client, base, path string) []byte {
 	return body
 }
 
+// chaosSession is one client stream of a chaos case: its chunks, the
+// uninterrupted run's answers, and the client's progress through the
+// router.
+type chaosSession struct {
+	id           string
+	chunks       [][]byte
+	reference    [][]byte
+	refConsumers []byte
+	refFinal     []byte
+	acked        [][]byte
+	next         int // index of the next chunk to send
+}
+
 func TestRoutedClusterChaosParityWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nine-workload routed-cluster sweep is seconds-long; skipped in -short")
 	}
-	cases := []struct {
+	workloads := []struct {
 		name          string
 		params        workload.Params
 		keepIrregular bool
@@ -207,6 +219,23 @@ func TestRoutedClusterChaosParityWorkloads(t *testing.T) {
 		{"mesh", workload.Params{N: 2048, Steps: 6, Seed: 1}, false},
 		{"moldyn", workload.Params{N: 200, Steps: 6, Seed: 1}, false},
 	}
+	// One single-session case per workload, then the multi-session
+	// case: all nine streamed at once (on one detector config, since
+	// the nodes share it), so the killed node takes several sessions
+	// with it while the others keep streaming.
+	type chaosCase struct {
+		name      string
+		workloads []int // indexes into workloads, one session each
+		detector  online.Config
+	}
+	var cases []chaosCase
+	var all []int
+	for i, w := range workloads {
+		cases = append(cases, chaosCase{w.name, []int{i}, online.Config{KeepIrregular: w.keepIrregular}})
+		all = append(all, i)
+	}
+	cases = append(cases, chaosCase{"multi-session", all, online.Config{}})
+
 	// Fixed seed: which node dies and where is arbitrary but
 	// reproducible.
 	rng := rand.New(rand.NewSource(20260808))
@@ -224,75 +253,94 @@ func TestRoutedClusterChaosParityWorkloads(t *testing.T) {
 		c := c
 		killOwner := rng.Intn(2) == 0
 		t.Run(c.name, func(t *testing.T) {
-			spec, err := workload.ByName(c.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var col collector
-			spec.Make(c.params).Run(&col)
-			dcfg := online.Config{KeepIrregular: c.keepIrregular}
-			bounds := chunkBounds(len(col.events), 10)
-			if len(bounds) < 6 {
-				t.Fatalf("%s: only %d chunks", c.name, len(bounds))
-			}
-			chunks := make([][]byte, len(bounds))
-			for i, b := range bounds {
-				chunks[i] = encodeChunk(t, col.events[b[0]:b[1]])
+			sessions := make([]*chaosSession, len(c.workloads))
+			rounds := 0 // chunks in the shortest session
+			for i, wi := range c.workloads {
+				w := workloads[wi]
+				spec, err := workload.ByName(w.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var col collector
+				spec.Make(w.params).Run(&col)
+				bounds := chunkBounds(len(col.events), 10)
+				if len(bounds) < 10 {
+					t.Fatalf("%s: only %d chunks", w.name, len(bounds))
+				}
+				s := &chaosSession{id: w.name, acked: make([][]byte, len(bounds))}
+				for _, b := range bounds {
+					s.chunks = append(s.chunks, encodeChunk(t, col.events[b[0]:b[1]]))
+				}
+				sessions[i] = s
+				if rounds == 0 || len(bounds) < rounds {
+					rounds = len(bounds)
+				}
 			}
 			// Chaos points: the kill strictly before the migration, and
-			// at least one chunk between and after, so every transition
-			// carries live traffic.
-			killChunk := 1 + rng.Intn(len(bounds)-4)
-			migrateChunk := killChunk + 1 + rng.Intn(len(bounds)-killChunk-2)
-			id := c.name
+			// at least one round between and after, so every transition
+			// carries live traffic. The multi-session case kills between
+			// the checkpoints at chunks 3 and 6, so every session on the
+			// victim has an unreplicated tail to rewind over.
+			killRound, migrateRound := 4, 7
+			if len(sessions) == 1 {
+				killRound = 1 + rng.Intn(rounds-4)
+				migrateRound = killRound + 1 + rng.Intn(rounds-killRound-2)
+			}
 
 			client := &http.Client{Timeout: 30 * time.Second}
+			nodeConfig := func(int) server.Config {
+				return server.Config{
+					Detector: c.detector, DataDir: t.TempDir(), CheckpointEvery: 3,
+					Consumers: consumers,
+				}
+			}
 
 			// Reference: the same chunks against one uninterrupted node,
 			// over real HTTP like the routed run.
-			refNode := startTestNode(t, server.Config{
-				Detector: dcfg, DataDir: t.TempDir(), CheckpointEvery: 3,
-				Consumers: consumers,
-			})
-			reference := make([][]byte, len(chunks))
-			for i, body := range chunks {
-				var rc httpx.RetryCounts
-				resp, err := httpx.PostChunk(client, refNode.base+"/v1/sessions/"+id+"/events",
-					uint64(i+1), body, contentType, &rc)
-				if err != nil {
-					t.Fatalf("reference chunk %d: %v", i+1, err)
+			refNode := startTestNode(t, nodeConfig(0))
+			for _, s := range sessions {
+				s.reference = make([][]byte, len(s.chunks))
+				for i, body := range s.chunks {
+					resp, out := postVia(t, client, refNode.base, s.id, uint64(i+1), body)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s reference chunk %d: %d: %s", s.id, i+1, resp.StatusCode, out)
+					}
+					s.reference[i] = out
 				}
-				reference[i], _ = io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("reference chunk %d: %d: %s", i+1, resp.StatusCode, reference[i])
-				}
+				s.refConsumers = get(t, client, refNode.base, "/v1/sessions/"+s.id+"/consumers")
+				s.refFinal = del(t, client, refNode.base, "/v1/sessions/"+s.id)
 			}
-			refConsumers := get(t, client, refNode.base, "/v1/sessions/"+id+"/consumers")
-			refFinal := del(t, client, refNode.base, "/v1/sessions/"+id)
 
 			// The routed cluster: three durable nodes behind one router,
 			// each replicating to its sessions' ring successors.
-			nodes := startCluster(t, 3, func(int) server.Config {
-				return server.Config{
-					Detector: dcfg, DataDir: t.TempDir(), CheckpointEvery: 3,
-					Consumers: consumers,
-				}
-			}, true)
+			nodes := startCluster(t, 3, nodeConfig, true)
 			bases := make([]string, len(nodes))
+			byBase := make(map[string]*testNode, len(nodes))
 			for i, n := range nodes {
 				bases[i] = n.base
+				byBase[n.base] = n
 			}
 			rt, _, routerBase := startRouter(t, bases)
 
-			byBase := make(map[string]*testNode, len(nodes))
-			for _, n := range nodes {
-				byBase[n.base] = n
-			}
-			killed := ""
+			killed, victimOwned := "", 0
 			doKill := func() {
-				victim := rt.Owner(id)
-				if !killOwner {
+				owned := make(map[string]int, len(bases))
+				for _, s := range sessions {
+					owned[rt.Owner(s.id)]++
+				}
+				victim := rt.Owner(sessions[0].id)
+				switch {
+				case len(sessions) > 1:
+					// The busiest node: the worst-case reroute.
+					for _, b := range bases {
+						if owned[b] > owned[victim] {
+							victim = b
+						}
+					}
+					if owned[victim] < 2 {
+						t.Fatalf("victim owns %d sessions, want at least 2", owned[victim])
+					}
+				case !killOwner:
 					// "kill any node": sometimes the victim is a bystander
 					// — the session must not care.
 					others := make([]string, 0, 2)
@@ -304,98 +352,102 @@ func TestRoutedClusterChaosParityWorkloads(t *testing.T) {
 					victim = others[rng.Intn(len(others))]
 				}
 				byBase[victim].kill()
-				killed = victim
+				killed, victimOwned = victim, owned[victim]
 			}
 			doMigrate := func() {
-				source := rt.Owner(id)
-				target := ""
-				for _, b := range bases {
-					if b != source && b != killed {
-						target = b
-						break
+				for _, s := range sessions {
+					source := rt.Owner(s.id)
+					if source == killed || s.next == len(s.chunks) {
+						continue
+					}
+					for _, target := range bases {
+						if target == source || target == killed {
+							continue
+						}
+						resp, err := client.Post(routerBase+"/v1/cluster/migrate?session="+s.id+"&target="+target, "", nil)
+						if err != nil {
+							t.Fatalf("migrate %s: %v", s.id, err)
+						}
+						body, _ := io.ReadAll(resp.Body)
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							t.Fatalf("migrate %s: %d: %s", s.id, resp.StatusCode, body)
+						}
+						if got := rt.Owner(s.id); got != target {
+							t.Fatalf("%s owner after migration = %s, want %s", s.id, got, target)
+						}
+						return
 					}
 				}
-				if target == "" {
-					t.Fatal("no migration target available")
-				}
-				resp, err := client.Post(routerBase+"/v1/cluster/migrate?session="+id+"&target="+target, "", nil)
-				if err != nil {
-					t.Fatalf("migrate: %v", err)
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("migrate: %d: %s", resp.StatusCode, body)
-				}
-				if got := rt.Owner(id); got != target {
-					t.Fatalf("owner after migration = %s, want %s", got, target)
-				}
+				t.Fatal("no live session and target to migrate")
 			}
 
-			// The client: chunks through the router only, riding 409
+			// The client: one loop sends each live session its next chunk
+			// per round, through the router only, riding 409
 			// X-Lpp-Want-Seq rewinds exactly as it would against a single
 			// node that restarted.
-			acked := make([][]byte, len(chunks))
-			i, rewinds, migrated := 0, 0, false
-			for i < len(chunks) {
-				if killed == "" && i == killChunk {
+			rewinds := 0
+			for round := 0; ; round++ {
+				if round == killRound {
 					doKill()
-				} else if killed != "" && !migrated && i == migrateChunk {
+				} else if round == migrateRound {
 					doMigrate()
-					migrated = true
 				}
-				var rc httpx.RetryCounts
-				resp, err := httpx.PostChunk(client, routerBase+"/v1/sessions/"+id+"/events",
-					uint64(i+1), chunks[i], contentType, &rc)
-				if err != nil {
-					t.Fatalf("chunk %d via router: %v", i+1, err)
-				}
-				if resp.StatusCode == http.StatusConflict {
-					want, perr := strconv.ParseUint(resp.Header.Get("X-Lpp-Want-Seq"), 10, 64)
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if perr != nil || want == 0 || want > uint64(i+1) {
-						t.Fatalf("409 without usable X-Lpp-Want-Seq (chunk %d)", i+1)
+				active := 0
+				for _, s := range sessions {
+					if s.next == len(s.chunks) {
+						continue
 					}
-					rewinds++
-					if rewinds > 2*len(chunks) {
-						t.Fatal("rewind loop is not converging")
+					active++
+					i := s.next
+					resp, body := postVia(t, client, routerBase, s.id, uint64(i+1), s.chunks[i])
+					if resp.StatusCode == http.StatusConflict {
+						want, perr := strconv.ParseUint(resp.Header.Get("X-Lpp-Want-Seq"), 10, 64)
+						if perr != nil || want == 0 || want > uint64(i+1) {
+							t.Fatalf("%s: 409 without usable X-Lpp-Want-Seq (chunk %d)", s.id, i+1)
+						}
+						rewinds++
+						if rewinds > 2*len(sessions)*rounds {
+							t.Fatal("rewind loop is not converging")
+						}
+						s.next = int(want) - 1
+						continue
 					}
-					i = int(want) - 1
-					continue
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s chunk %d via router: %d: %s", s.id, i+1, resp.StatusCode, body)
+					}
+					// Byte-parity with the uninterrupted run — on first ack
+					// and on every post-failover replay of an already-acked
+					// chunk. Any divergence means acknowledged events leaked.
+					if !bytes.Equal(body, s.reference[i]) {
+						t.Fatalf("%s chunk %d response diverges from the uninterrupted run", s.id, i+1)
+					}
+					if s.acked[i] != nil && !bytes.Equal(body, s.acked[i]) {
+						t.Fatalf("%s chunk %d replayed after failover diverges from its acknowledged response", s.id, i+1)
+					}
+					s.acked[i] = body
+					s.next++
 				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("chunk %d via router: %d: %s", i+1, resp.StatusCode, body)
-				}
-				// Byte-parity with the uninterrupted run — on first ack
-				// and on every post-failover replay of an already-acked
-				// chunk. Any divergence means acknowledged events leaked.
-				if !bytes.Equal(body, reference[i]) {
-					t.Fatalf("chunk %d response diverges from the uninterrupted run", i+1)
-				}
-				if acked[i] != nil && !bytes.Equal(body, acked[i]) {
-					t.Fatalf("chunk %d replayed after failover diverges from its acknowledged response", i+1)
-				}
-				acked[i] = body
-				i++
-			}
-			for j, body := range acked {
-				if body == nil {
-					t.Fatalf("chunk %d never acknowledged", j+1)
+				if active == 0 {
+					break
 				}
 			}
+			if len(sessions) > 1 && rewinds == 0 {
+				t.Error("no session rewound after the kill: failover replayed nothing")
+			}
+			t.Logf("killed the owner of %d of %d sessions at round %d; %d rewinds", victimOwned, len(sessions), killRound, rewinds)
 
 			// Recovered consumer state and the final flush must match the
 			// uninterrupted run byte for byte, fetched through the router.
-			gotConsumers := get(t, client, routerBase, "/v1/sessions/"+id+"/consumers")
-			if !bytes.Equal(gotConsumers, refConsumers) {
-				t.Errorf("consumer state diverges after chaos:\n got %s\nwant %s", gotConsumers, refConsumers)
-			}
-			gotFinal := del(t, client, routerBase, "/v1/sessions/"+id)
-			if !bytes.Equal(gotFinal, refFinal) {
-				t.Errorf("final flush diverges after chaos:\n got %s\nwant %s", gotFinal, refFinal)
+			for _, s := range sessions {
+				gotConsumers := get(t, client, routerBase, "/v1/sessions/"+s.id+"/consumers")
+				if !bytes.Equal(gotConsumers, s.refConsumers) {
+					t.Errorf("%s consumer state diverges after chaos:\n got %s\nwant %s", s.id, gotConsumers, s.refConsumers)
+				}
+				gotFinal := del(t, client, routerBase, "/v1/sessions/"+s.id)
+				if !bytes.Equal(gotFinal, s.refFinal) {
+					t.Errorf("%s final flush diverges after chaos:\n got %s\nwant %s", s.id, gotFinal, s.refFinal)
+				}
 			}
 		})
 	}

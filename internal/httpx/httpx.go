@@ -1,6 +1,6 @@
 // Package httpx holds the HTTP retry policy shared by every client in
-// the system — perfbench's stream clients, lppbench's -cluster run, the
-// checkpoint replicator, and the cluster router. The policy has two
+// the system — perfbench's stream clients, the checkpoint replicator,
+// and the cluster router. The policy has two
 // halves: capped exponential backoff with jitter for failures the
 // server said nothing useful about, and server-paced waits for 429s
 // that carry a Retry-After or X-Lpp-Retry-After-Ms hint. A hinted wait

@@ -56,46 +56,38 @@ func (r *Recorder) Access(addr Addr) {
 }
 
 // Replay feeds a recorded trace back through an Instrumenter exactly as
-// it was captured: each block event followed by the accesses up to the
-// next block event.
+// it was captured: each block event after the accesses that preceded
+// it (up to its AccessIndex), and the accesses after the last block at
+// the end.
 func (t *Recorded) Replay(ins Instrumenter) {
 	next := 0 // next access index to emit
-	for i, b := range t.Blocks {
-		end := len(t.Accesses)
-		if i+1 < len(t.Blocks) {
-			end = int(t.Blocks[i+1].AccessIndex)
-		}
-		ins.Block(b.ID, int(b.Instrs))
-		for ; next < end; next++ {
+	for _, b := range t.Blocks {
+		for ; next < int(b.AccessIndex); next++ {
 			ins.Access(t.Accesses[next])
 		}
+		ins.Block(b.ID, int(b.Instrs))
 	}
 	for ; next < len(t.Accesses); next++ {
 		ins.Access(t.Accesses[next])
 	}
 }
 
-// Events flattens a recorded trace into the event stream Replay would
-// feed an Instrumenter, in the same order: each block event followed by
-// the accesses up to the next block event.
+// Events flattens a recorded trace into the event stream Replay feeds
+// an Instrumenter, in the same order.
 func (t *Recorded) Events() []Event {
-	out := make([]Event, 0, len(t.Accesses)+len(t.Blocks))
-	next := 0
-	for i, b := range t.Blocks {
-		end := len(t.Accesses)
-		if i+1 < len(t.Blocks) {
-			end = int(t.Blocks[i+1].AccessIndex)
-		}
-		out = append(out, Event{Kind: EventBlock, Block: b.ID, Instrs: int(b.Instrs)})
-		for ; next < end; next++ {
-			out = append(out, Event{Kind: EventAccess, Addr: t.Accesses[next]})
-		}
-	}
-	for ; next < len(t.Accesses); next++ {
-		out = append(out, Event{Kind: EventAccess, Addr: t.Accesses[next]})
-	}
+	out := make(eventSink, 0, len(t.Accesses)+len(t.Blocks))
+	t.Replay(&out)
 	return out
 }
+
+// eventSink is an Instrumenter that keeps what it is fed as Events.
+type eventSink []Event
+
+func (s *eventSink) Block(id BlockID, instrs int) {
+	*s = append(*s, Event{Kind: EventBlock, Block: id, Instrs: instrs})
+}
+
+func (s *eventSink) Access(addr Addr) { *s = append(*s, Event{Kind: EventAccess, Addr: addr}) }
 
 // BlockFrequency returns, for every block ID that appears in the block
 // trace, the number of times it executed.

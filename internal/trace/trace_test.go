@@ -61,14 +61,19 @@ func TestRecorderIndices(t *testing.T) {
 }
 
 func TestReplayRoundTrip(t *testing.T) {
-	f := func(blocks []uint8, accessesPerBlock []uint8) bool {
-		// Build a random but well-formed run.
+	f := func(lead uint8, blocks []uint8, accessesPerBlock []uint8) bool {
+		// Build a random but well-formed run, with or without accesses
+		// before the first block.
 		src := NewRecorder(0, 0)
 		n := len(blocks)
 		if len(accessesPerBlock) < n {
 			n = len(accessesPerBlock)
 		}
 		addr := Addr(0)
+		for j := 0; j < int(lead%4); j++ {
+			src.Access(addr)
+			addr += 8
+		}
 		for i := 0; i < n; i++ {
 			src.Block(BlockID(blocks[i]), int(accessesPerBlock[i])+1)
 			for j := 0; j < int(accessesPerBlock[i]%5); j++ {
@@ -98,35 +103,48 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// eventSink is an Instrumenter that keeps what it is fed as Events.
-type eventSink []Event
-
-func (s *eventSink) Block(id BlockID, instrs int) {
-	*s = append(*s, Event{Kind: EventBlock, Block: id, Instrs: instrs})
+// TestReplayAccessBeforeFirstBlock: an access recorded before the first
+// block is replayed before it, so the block keeps AccessIndex 1.
+func TestReplayAccessBeforeFirstBlock(t *testing.T) {
+	src := NewRecorder(0, 0)
+	src.Access(0x40)
+	src.Block(7, 3)
+	src.Access(0x80)
+	dst := NewRecorder(0, 0)
+	src.T.Replay(dst)
+	if !slices.Equal(dst.T.Blocks, src.T.Blocks) || !slices.Equal(dst.T.Accesses, src.T.Accesses) {
+		t.Errorf("replayed %+v %v, recorded %+v %v", dst.T.Blocks, dst.T.Accesses, src.T.Blocks, src.T.Accesses)
+	}
+	want := []Event{{Kind: EventAccess, Addr: 0x40}, {Kind: EventBlock, Block: 7, Instrs: 3}, {Kind: EventAccess, Addr: 0x80}}
+	if got := src.T.Events(); !slices.Equal(got, want) {
+		t.Errorf("Events = %+v, want %+v", got, want)
+	}
 }
 
-func (s *eventSink) Access(addr Addr) { *s = append(*s, Event{Kind: EventAccess, Addr: addr}) }
-
-// TestEventsMatchReplay: Events is exactly the stream Replay feeds, in
-// order, on runs with and without accesses before the first block.
+// TestEventsMatchReplay: Events, the stream Replay feeds, is exactly
+// the stream that was recorded, in order, on runs with and without
+// accesses before the first block.
 func TestEventsMatchReplay(t *testing.T) {
 	f := func(lead uint8, blocks []uint8, accessesPerBlock []uint8) bool {
 		src := NewRecorder(0, 0)
+		var want []Event
+		record := func(e Event) {
+			e.Feed(src)
+			want = append(want, e)
+		}
 		addr := Addr(0)
 		for j := 0; j < int(lead%4); j++ {
-			src.Access(addr)
+			record(Event{Kind: EventAccess, Addr: addr})
 			addr += 8
 		}
 		for i := 0; i < min(len(blocks), len(accessesPerBlock)); i++ {
-			src.Block(BlockID(blocks[i]), int(accessesPerBlock[i])+1)
+			record(Event{Kind: EventBlock, Block: BlockID(blocks[i]), Instrs: int(accessesPerBlock[i]) + 1})
 			for j := 0; j < int(accessesPerBlock[i]%5); j++ {
-				src.Access(addr)
+				record(Event{Kind: EventAccess, Addr: addr})
 				addr += 8
 			}
 		}
-		var want eventSink
-		src.T.Replay(&want)
-		return slices.Equal(src.T.Events(), []Event(want))
+		return slices.Equal(src.T.Events(), want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -167,31 +167,18 @@ func tenantTrace(name string, scale int, seed uint64) (*trace.Recorded, error) {
 	return &rec.T, nil
 }
 
-// flatEvent is one tenant event in replay order.
-type flatEvent struct {
-	block  bool
-	id     trace.BlockID
-	instrs int
-	addr   trace.Addr
-}
-
-func flatten(t *trace.Recorded, addrOff trace.Addr, blockOff trace.BlockID) []flatEvent {
-	out := make([]flatEvent, 0, len(t.Accesses)+len(t.Blocks))
-	next := 0
-	for i, b := range t.Blocks {
-		end := len(t.Accesses)
-		if i+1 < len(t.Blocks) {
-			end = int(t.Blocks[i+1].AccessIndex)
-		}
-		out = append(out, flatEvent{block: true, id: b.ID + blockOff, instrs: int(b.Instrs)})
-		for ; next < end; next++ {
-			out = append(out, flatEvent{addr: t.Accesses[next] + addrOff})
+// tenantEvents is a tenant's trace in replay order, moved into the
+// tenant's own address and block ranges.
+func tenantEvents(t *trace.Recorded, addrOff trace.Addr, blockOff trace.BlockID) []trace.Event {
+	events := t.Events()
+	for i := range events {
+		if events[i].Kind == trace.EventBlock {
+			events[i].Block += blockOff
+		} else {
+			events[i].Addr += addrOff
 		}
 	}
-	for ; next < len(t.Accesses); next++ {
-		out = append(out, flatEvent{addr: t.Accesses[next] + addrOff})
-	}
-	return out
+	return events
 }
 
 func (w *interleaved) Run(ins trace.Instrumenter) {
@@ -206,20 +193,20 @@ func (w *interleaved) Run(ins trace.Instrumenter) {
 	if err != nil {
 		panic(err)
 	}
-	streams := [2][]flatEvent{
-		flatten(ta, 0, 0),
-		flatten(tb, tenantAddrOffset, tenantBlockOffset),
+	streams := [2][]trace.Event{
+		tenantEvents(ta, 0, 0),
+		tenantEvents(tb, tenantAddrOffset, tenantBlockOffset),
 	}
 	names := [2]string{w.p.TenantA, w.p.TenantB}
 	pos := [2]int{}
 	cur := 0
 	rng := stats.NewRNG(w.p.Seed ^ 0x1A7E)
 
-	emit := func(e flatEvent) {
-		if e.block {
-			w.block(e.id, e.instrs)
+	emit := func(e trace.Event) {
+		if e.Kind == trace.EventBlock {
+			w.block(e.Block, e.Instrs)
 		} else {
-			w.load(e.addr)
+			w.load(e.Addr)
 		}
 	}
 	for pos[0] < len(streams[0]) || pos[1] < len(streams[1]) {
@@ -238,7 +225,7 @@ func (w *interleaved) Run(ins trace.Instrumenter) {
 			e := streams[cur][pos[cur]]
 			emit(e)
 			pos[cur]++
-			if !e.block {
+			if e.Kind == trace.EventAccess {
 				accesses++
 			}
 		}
